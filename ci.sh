@@ -77,6 +77,9 @@ CRITERION_QUICK=1 cargo bench -p par-bench --bench catalog
 echo "==> multi-action solver bench (quick mode, smoke + sharded/global transcript assert)"
 CRITERION_QUICK=1 cargo bench -p par-bench --bench multiaction
 
+echo "==> LSH representation kernel bench (quick mode, smoke + before/after bit-identity assert)"
+CRITERION_QUICK=1 cargo bench -p par-bench --bench lsh
+
 # Pack determinism gate: the phocus-pack format is canonical — packing the
 # same dataset twice must produce byte-identical images — and a written
 # image must pass the reader's full validation (header, section table,

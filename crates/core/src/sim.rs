@@ -289,14 +289,27 @@ impl SparseSim {
     /// the maximum similarity; self-pairs and zero similarities are ignored.
     /// Indices `≥ n` are rejected with
     /// [`ModelError::PairIndexOutOfRange`].
+    ///
+    /// A counting build: one validating pass keeps the pairs and counts each
+    /// row's degree, a prefix sum places the rows, and a scatter writes both
+    /// directions of every pair. Row `r` receives its neighbors in input
+    /// order, so a caller emitting pairs in ascending `(min, max)` order — or
+    /// row-major `(j, i)` with `j < i` — hands it the smaller neighbors
+    /// ascending, then the larger ones ascending: already strictly sorted.
+    /// Only a row that is not strictly ascending (out-of-order input or a
+    /// duplicate pair) is sorted by column, similarity descending, and
+    /// deduplicated to its maximum.
+    // phocus-lint: hot-kernel — builds the CSR store of every sparsified context
     pub fn from_pairs(
         subset_id: SubsetId,
         n: usize,
         pairs: impl IntoIterator<Item = (u32, u32, f64)>,
     ) -> Result<Self> {
-        // Collect both directions, then sort-and-merge: O(E log E) total,
-        // instead of the O(deg²) linear-scan upsert a per-row build costs.
-        let mut entries: Vec<(u32, u32, f32)> = Vec::new();
+        let pairs = pairs.into_iter();
+        // phocus-lint: allow(alloc-hot) — the output row table
+        let mut offsets = vec![0u32; n + 1];
+        // phocus-lint: allow(alloc-hot) — the one scratch buffer: the validated pairs, kept for the scatter
+        let mut kept: Vec<(u32, u32, f32)> = Vec::with_capacity(pairs.size_hint().0);
         for (i, j, s) in pairs {
             if !(0.0..=1.0).contains(&s) || s.is_nan() {
                 return Err(ModelError::InvalidSimilarity {
@@ -314,33 +327,61 @@ impl SparseSim {
                     members: n,
                 });
             }
-            entries.push((i, j, s as f32));
-            entries.push((j, i, s as f32));
-        }
-        // Sort by (row, col); ties keep the highest similarity up front so
-        // the dedup below retains the maximum of duplicate pairs.
-        entries.sort_unstable_by(|a, b| {
-            (a.0, a.1)
-                .cmp(&(b.0, b.1))
-                .then_with(|| b.2.total_cmp(&a.2))
-        });
-        entries.dedup_by_key(|e| (e.0, e.1));
-
-        let mut offsets = vec![0u32; n + 1];
-        for &(i, _, _) in &entries {
             offsets[i as usize + 1] += 1;
+            offsets[j as usize + 1] += 1;
+            kept.push((i, j, s as f32));
         }
         for k in 1..=n {
             offsets[k] += offsets[k - 1];
         }
-        // Entries are sorted by row, so a straight push fills each CSR row
-        // in place and already sorted by neighbor index.
-        let mut neighbor_idx = Vec::with_capacity(entries.len());
-        let mut sim = Vec::with_capacity(entries.len());
-        for &(_, j, s) in &entries {
-            neighbor_idx.push(j);
-            sim.push(s);
+        // Scatter, using `offsets[r]` as row `r`'s cursor: afterwards it
+        // holds the row's end, which the shift below turns back into starts.
+        let total = offsets[n] as usize;
+        // phocus-lint: allow(alloc-hot) — the output neighbor arena
+        let mut neighbor_idx = vec![0u32; total];
+        // phocus-lint: allow(alloc-hot) — the output similarity arena
+        let mut sim = vec![0.0f32; total];
+        for &(i, j, s) in &kept {
+            for (row, col) in [(i, j), (j, i)] {
+                let at = offsets[row as usize] as usize;
+                neighbor_idx[at] = col;
+                sim[at] = s;
+                offsets[row as usize] += 1;
+            }
         }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        // Sort and deduplicate the rows that need it, compacting every row
+        // down to the write cursor; the pair buffer, no longer needed, holds
+        // a row while it sorts. Rows written in order stay in place.
+        let (mut read, mut write) = (0usize, 0usize);
+        for r in 0..n {
+            let end = offsets[r + 1] as usize;
+            if neighbor_idx[read..end].windows(2).all(|w| w[0] < w[1]) {
+                if write != read {
+                    neighbor_idx.copy_within(read..end, write);
+                    sim.copy_within(read..end, write);
+                }
+                write += end - read;
+            } else {
+                kept.clear();
+                kept.extend((read..end).map(|at| (0, neighbor_idx[at], sim[at])));
+                // Column ascending, similarity descending: the dedup keeps
+                // the maximum of each duplicated pair.
+                kept.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| b.2.total_cmp(&a.2)));
+                kept.dedup_by_key(|e| e.1);
+                for &(_, col, s) in &kept {
+                    neighbor_idx[write] = col;
+                    sim[write] = s;
+                    write += 1;
+                }
+            }
+            // phocus-lint: allow(cast-bounds) — write ≤ total, itself a u32 offset
+            offsets[r + 1] = write as u32;
+            read = end;
+        }
+        neighbor_idx.truncate(write);
+        sim.truncate(write);
         Ok(SparseSim {
             offsets,
             neighbor_idx,

@@ -5,7 +5,9 @@
 //! answer `sim(i, j)`, `neighbors(i)`, `degree(i)`, and `nonzero_pairs()`
 //! exactly like the per-row vector representation it replaced, and the
 //! two-pass CSR build inside `DenseSim::sparsify` must agree with building
-//! from the surviving pairs directly.
+//! from the surviving pairs directly. The counting build inside
+//! `from_pairs` must give the same arenas whatever order the pairs arrive
+//! in: canonical, row-major, reversed, shuffled, or with duplicates.
 
 use par_core::fixtures::SplitMix64;
 use par_core::{ContextSim, DenseSim, SparseSim, SubsetId};
@@ -67,8 +69,85 @@ fn random_pairs(seed: u64, n: usize, count: usize) -> Vec<(u32, u32, f64)> {
         .collect()
 }
 
+/// Asserts that `csr` holds exactly `reference`'s rows, bit for bit.
+fn assert_matches_reference(csr: &SparseSim, reference: &RefStore, what: &str) {
+    assert_eq!(csr.len(), reference.rows.len(), "{what}");
+    assert_eq!(csr.nonzero_pairs(), reference.nonzero_pairs(), "{what}");
+    for (i, row) in reference.rows.iter().enumerate() {
+        let (ids, sims) = csr.neighbors(i);
+        let got: Vec<(u32, u32)> = ids
+            .iter()
+            .zip(sims)
+            .map(|(&j, s)| (j, s.to_bits()))
+            .collect();
+        let want: Vec<(u32, u32)> = row.iter().map(|&(j, s)| (j, s.to_bits())).collect();
+        assert_eq!(got, want, "{what}: row {i}");
+    }
+}
+
+/// A random simple graph over `n` members as `(i, j, sim)` with `i < j`, in
+/// ascending `(i, j)` order — the order the LSH candidate enumeration emits.
+fn canonical_pairs(seed: u64, n: usize, density: usize) -> Vec<(u32, u32, f64)> {
+    let mut rng = SplitMix64::new(seed);
+    let mut pairs = Vec::new();
+    for i in 0..n as u32 {
+        for j in i + 1..n as u32 {
+            if rng.next_below(10) < density {
+                pairs.push((i, j, (1 + rng.next_below(1000)) as f64 / 1000.0));
+            }
+        }
+    }
+    pairs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn counting_build_matches_reference_in_every_input_order(
+        (seed, n, density) in (any::<u64>(), 1usize..40, 0usize..11)
+    ) {
+        let canonical = canonical_pairs(seed, n, density);
+        let reference = RefStore::from_pairs(n, &canonical);
+        let build = |pairs: Vec<(u32, u32, f64)>| SparseSim::from_pairs(SubsetId(0), n, pairs).unwrap();
+        let expected = build(canonical.clone());
+        assert_matches_reference(&expected, &reference, "canonical");
+
+        // Row-major `(j, i)` with `j < i`, outer loop over `i`: the order of
+        // the exact small-context path.
+        let mut row_major: Vec<(u32, u32, f64)> = canonical.clone();
+        row_major.sort_unstable_by_key(|&(j, i, _)| (i, j));
+        prop_assert_eq!(&build(row_major), &expected);
+
+        let reversed: Vec<(u32, u32, f64)> = canonical.iter().rev().copied().collect();
+        prop_assert_eq!(&build(reversed), &expected);
+
+        let mut rng = SplitMix64::new(seed ^ 0x5EED);
+        let mut shuffled = canonical.clone();
+        for k in (1..shuffled.len()).rev() {
+            shuffled.swap(k, rng.next_below(k + 1));
+        }
+        // Flipped orientation is the same unordered pair.
+        for p in shuffled.iter_mut().filter(|_| rng.next_below(2) == 0) {
+            *p = (p.1, p.0, p.2);
+        }
+        prop_assert_eq!(&build(shuffled.clone()), &expected);
+
+        // Duplicates with lower similarities (and exact repeats) must leave
+        // the maximum in place; a higher duplicate must win.
+        let mut duplicated = shuffled.clone();
+        for &(i, j, s) in canonical.iter().filter(|_| rng.next_below(3) == 0) {
+            duplicated.push((j, i, s / 2.0));
+            duplicated.push((i, j, s));
+        }
+        prop_assert_eq!(&build(duplicated.clone()), &expected);
+        if let Some(&(i, j, _)) = canonical.first() {
+            duplicated.push((i, j, 1.0));
+            let raised = build(duplicated.clone());
+            assert_matches_reference(&raised, &RefStore::from_pairs(n, &duplicated), "raised duplicate");
+            prop_assert_eq!(raised.sim(i as usize, j as usize), 1.0);
+        }
+    }
 
     #[test]
     fn csr_matches_adjacency_list_reference(

@@ -81,8 +81,8 @@ impl Universe {
     }
 
     /// Validates internal consistency (indices in range, parallel arrays,
-    /// non-empty subsets, finite positive weights/relevances, no cost-sum
-    /// overflow). Generators call this before returning; [`crate::from_text`]
+    /// embeddings of one dimension ≥ 1, non-empty subsets, finite positive
+    /// weights/relevances, no cost-sum overflow). Generators call this before returning; [`crate::from_text`]
     /// calls it on every parsed file, so malformed input surfaces as a typed
     /// [`DatasetError`] instead of a panic deeper in the pipeline.
     pub fn validate(&self) -> Result<(), DatasetError> {
@@ -94,6 +94,24 @@ impl Universe {
         if let Some(exif) = &self.exif {
             if exif.len() != n {
                 return invalid("EXIF array length mismatch".into());
+            }
+        }
+        // Every similarity kernel pairs coordinates up to one shared
+        // dimensionality; a ragged or empty embedding has none.
+        if let Some(dim) = self.embeddings.first().map(Embedding::dim) {
+            if dim == 0 {
+                return invalid("embeddings have dimension 0".into());
+            }
+            if let Some((i, e)) = self
+                .embeddings
+                .iter()
+                .enumerate()
+                .find(|(_, e)| e.dim() != dim)
+            {
+                return invalid(format!(
+                    "embedding {i} has dimension {} but embedding 0 has {dim}",
+                    e.dim()
+                ));
             }
         }
         let mut total: u64 = 0;
@@ -190,6 +208,19 @@ mod tests {
         let mut u = tiny();
         u.subsets[0].relevance[0] = -1.0;
         assert!(u.validate().is_err());
+    }
+
+    #[test]
+    fn detects_ragged_and_empty_embeddings() {
+        let mut u = tiny();
+        u.embeddings[1] = Embedding::new(vec![0.0, 1.0, 0.5]);
+        let err = u.validate().unwrap_err().to_string();
+        assert!(err.contains("embedding 1 has dimension 3"), "{err}");
+        u.embeddings = vec![Embedding::new(Vec::new()), Embedding::new(Vec::new())];
+        assert!(matches!(
+            u.validate(),
+            Err(DatasetError::InvalidUniverse(_))
+        ));
     }
 
     #[test]

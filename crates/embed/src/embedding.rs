@@ -55,6 +55,12 @@ impl Embedding {
     }
 }
 
+impl AsRef<[f32]> for Embedding {
+    fn as_ref(&self) -> &[f32] {
+        &self.0
+    }
+}
+
 /// Random-projection embedder over extracted image features.
 #[derive(Debug, Clone)]
 pub struct FeatureEmbedder {

@@ -13,7 +13,8 @@
 //! * [`planner`] — chooses (rows per band, number of bands) to hit a target
 //!   recall at threshold `τ`;
 //! * [`similar_pairs`] — the end-to-end convenience pipeline: plan → hash →
-//!   bucket → verify with exact cosine.
+//!   bucket → verify with exact cosine; [`similar_pairs_with_plan`] runs the
+//!   same pipeline with a caller's plan and hasher.
 
 #![forbid(unsafe_code)]
 
@@ -49,48 +50,79 @@ pub fn similar_pairs(
     target_recall: f64,
     seed: u64,
 ) -> Result<Vec<(u32, u32, f64)>, LshError> {
-    Ok(similar_pairs_with_plan(
-        vectors,
-        tau,
-        plan(tau, target_recall)?,
-        seed,
-    ))
+    let plan = plan(tau, target_recall)?;
+    let Some(first) = vectors.first() else {
+        return Ok(Vec::new());
+    };
+    let hasher = SimHasher::new(first.as_ref().len(), plan.total_bits(), seed);
+    Ok(similar_pairs_with_plan(vectors, tau, plan, &hasher))
 }
 
-/// [`similar_pairs`] with an explicit banding plan.
+/// [`similar_pairs`] with an explicit banding plan and a prebuilt hasher.
 ///
 /// Use this when the planner's strict recall target would demand more
 /// signature bits than the application wants to pay for — candidates are
 /// verified exactly either way, so a cheaper plan only *misses* marginal
-/// pairs, it never admits false ones.
+/// pairs, it never admits false ones — or when one set of hyperplanes serves
+/// many vector sets. The hasher needs at least `plan.total_bits()` bits and
+/// the vectors' dimensionality.
+///
+/// Sign → band → candidates → [`verify_candidates`]: candidate pairs arrive
+/// in ascending `(i, j)` order and are filtered in that order, so the output
+/// is identical at every thread count.
 pub fn similar_pairs_with_plan(
     vectors: &[impl AsRef<[f32]> + Sync],
     tau: f64,
     plan: LshPlan,
-    seed: u64,
+    hasher: &SimHasher,
 ) -> Vec<(u32, u32, f64)> {
     if vectors.is_empty() {
         return Vec::new();
     }
-    let dim = vectors[0].as_ref().len();
-    let hasher = SimHasher::new(dim, plan.total_bits(), seed);
     let signatures = hasher.sign_batch(vectors);
     let index = LshIndex::build(&signatures, plan.rows, plan.bands);
-    // Candidate pairs arrive sorted and deduplicated; verify them with exact
-    // cosine in parallel, then filter in pair order — the output is
-    // identical to the serial verify loop.
     let mut candidates: Vec<(u32, u32)> = Vec::new();
     index.for_candidate_pairs(|i, j| candidates.push((i, j)));
-    par_exec::par_map_slice(&candidates, |&(i, j)| {
-        (
-            i,
-            j,
-            cosine(vectors[i as usize].as_ref(), vectors[j as usize].as_ref()),
-        )
-    })
-    .into_iter()
-    .filter(|&(_, _, c)| c >= tau)
-    .collect()
+    verify_candidates(vectors, &candidates, tau)
+}
+
+/// Verifies candidate pairs with the exact cosine, keeping `(i, j, cosine)`
+/// for each pair with `cosine ≥ tau`, in candidate order.
+///
+/// Every coordinate is widened to f64 and every vector's norm computed once,
+/// so a pair pays only its dot product's multiply-adds. Each cosine is
+/// bit-identical to [`cosine`] on its pair: the same f64 operations in the
+/// same order. Pairs are verified in parallel and filtered serially, so the
+/// output does not depend on the thread count.
+pub fn verify_candidates(
+    vectors: &[impl AsRef<[f32]> + Sync],
+    candidates: &[(u32, u32)],
+    tau: f64,
+) -> Vec<(u32, u32, f64)> {
+    let dim = vectors.first().map_or(0, |v| v.as_ref().len());
+    assert!(
+        vectors.iter().all(|v| v.as_ref().len() == dim),
+        "vector dimensionality mismatch"
+    );
+    let wide: Vec<f64> = vectors
+        .iter()
+        .flat_map(|v| v.as_ref().iter().map(|&x| x as f64))
+        .collect();
+    let norms: Vec<f64> = vectors.iter().map(|v| simhash::norm(v.as_ref())).collect();
+    let row = |i: u32| &wide[i as usize * dim..(i as usize + 1) * dim];
+    let cosines = par_exec::par_map_slice(candidates, |&(i, j)| {
+        let mut dot = 0.0f64;
+        for (&x, &y) in row(i).iter().zip(row(j)) {
+            dot += x * y;
+        }
+        simhash::cosine_from_parts(dot, norms[i as usize], norms[j as usize])
+    });
+    candidates
+        .iter()
+        .zip(cosines)
+        .filter(|&(_, c)| c >= tau)
+        .map(|(&(i, j), c)| (i, j, c))
+        .collect()
 }
 
 #[cfg(test)]
@@ -120,6 +152,62 @@ mod tests {
         );
         // No cross-cluster pair passes the τ=0.95 verification.
         assert!(pairs.iter().all(|&(i, j, _)| i / 5 == j / 5));
+    }
+
+    #[test]
+    fn verify_matches_per_pair_cosine_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7E51F);
+        for _ in 0..40 {
+            let dim = rng.gen_range(1..40usize);
+            let n = rng.gen_range(2..50usize);
+            let vectors: Vec<Vec<f32>> = (0..n)
+                .map(|i| {
+                    (0..dim)
+                        .map(|_| {
+                            if i % 7 == 3 {
+                                0.0
+                            } else {
+                                rng.gen::<f32>() - 0.4
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut candidates: Vec<(u32, u32)> = (0..n as u32)
+                .flat_map(|i| (i + 1..n as u32).map(move |j| (i, j)))
+                .filter(|_| rng.gen_range(0..3u32) > 0)
+                .collect();
+            candidates.truncate(rng.gen_range(0..=candidates.len()));
+            for tau in [-1.0, 0.0, 0.3] {
+                let expected: Vec<(u32, u32, f64)> = candidates
+                    .iter()
+                    .map(|&(i, j)| (i, j, cosine(&vectors[i as usize], &vectors[j as usize])))
+                    .filter(|&(_, _, c)| c >= tau)
+                    .collect();
+                let got = verify_candidates(&vectors, &candidates, tau);
+                assert_eq!(got.len(), expected.len());
+                for (g, e) in got.iter().zip(&expected) {
+                    assert_eq!((g.0, g.1, g.2.to_bits()), (e.0, e.1, e.2.to_bits()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_hasher_serves_many_vector_sets() {
+        // `similar_pairs` is `similar_pairs_with_plan` over a hasher drawn
+        // from the seed; a shared prebuilt hasher gives the same pairs.
+        let vecs: Vec<Vec<f32>> = (0..30).map(|k| unit(0.05 * k as f32)).collect();
+        let plan = plan(0.9, 0.9).unwrap();
+        let hasher = SimHasher::new(4, plan.total_bits(), 5);
+        let direct = similar_pairs(&vecs, 0.9, 0.9, 5).unwrap();
+        assert_eq!(similar_pairs_with_plan(&vecs, 0.9, plan, &hasher), direct);
+        assert_eq!(
+            similar_pairs_with_plan(&vecs[..10], 0.9, plan, &hasher).len(),
+            direct.iter().filter(|p| p.1 < 10).count()
+        );
     }
 
     #[test]

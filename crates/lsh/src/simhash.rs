@@ -11,8 +11,8 @@ use rand::{Rng, SeedableRng};
 /// A packed bit signature.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature {
-    bits: Vec<u64>,
-    len: usize,
+    pub(crate) bits: Vec<u64>,
+    pub(crate) len: usize,
 }
 
 impl Signature {
@@ -46,14 +46,21 @@ impl Signature {
     }
 
     /// Extracts bits `[start, start+count)` as a `u64` key (count ≤ 64),
-    /// used by the banded index.
+    /// used by the banded index: bit `start + k` of the signature is bit `k`
+    /// of the key. One word shift and mask, plus a second word when the band
+    /// straddles a `u64` boundary.
     pub fn band_key(&self, start: usize, count: usize) -> u64 {
         debug_assert!(count <= 64 && start + count <= self.len);
-        let mut key = 0u64;
-        for k in 0..count {
-            if self.bit(start + k) {
-                key |= 1 << k;
-            }
+        if count == 0 {
+            return 0;
+        }
+        let (word, offset) = (start / 64, start % 64);
+        let mut key = self.bits[word] >> offset;
+        if offset + count > 64 {
+            key |= self.bits[word + 1] << (64 - offset);
+        }
+        if count < 64 {
+            key &= (1u64 << count) - 1;
         }
         key
     }
@@ -62,7 +69,9 @@ impl Signature {
 /// A set of random hyperplanes producing fixed-width signatures.
 #[derive(Debug, Clone)]
 pub struct SimHasher {
-    /// `bits × dim` hyperplane normals, row-major.
+    /// The `bits × dim` hyperplane normals stored transposed, `dim × bits`:
+    /// coefficient `d` of plane `b` sits at `d·bits + b`, so one input
+    /// coordinate updates every plane's dot product from a contiguous row.
     planes: Vec<f32>,
     dim: usize,
     bits: usize,
@@ -70,10 +79,18 @@ pub struct SimHasher {
 
 impl SimHasher {
     /// Samples `bits` random Gaussian hyperplanes in `dim` dimensions.
+    ///
+    /// Plane `b` draws its `dim` coefficients consecutively, planes in order,
+    /// whatever the storage layout, so a seed names the same hyperplanes.
     pub fn new(dim: usize, bits: usize, seed: u64) -> Self {
         assert!(dim > 0 && bits > 0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let planes = (0..bits * dim).map(|_| gaussian(&mut rng)).collect();
+        let mut planes = vec![0.0f32; bits * dim];
+        for b in 0..bits {
+            for d in 0..dim {
+                planes[d * bits + b] = gaussian(&mut rng);
+            }
+        }
         SimHasher { planes, dim, bits }
     }
 
@@ -87,16 +104,35 @@ impl SimHasher {
         self.dim
     }
 
+    /// The normal of hyperplane `b` (`b < bits`), coefficient by dimension.
+    pub fn plane(&self, b: usize) -> impl Iterator<Item = f32> + '_ {
+        assert!(b < self.bits, "plane {b} out of range");
+        self.planes[b..].iter().step_by(self.bits).copied()
+    }
+
     /// Signs a vector (must have the hasher's dimensionality).
+    ///
+    /// All bits accumulate at once over the transposed planes, the loop over
+    /// planes innermost. Bit `b`'s dot product still adds `plane_b[d]·v[d]`
+    /// for `d = 0, 1, …` in order, so it equals the plane-by-plane sum (up to
+    /// the sign of an exact zero, which the `≥ 0` test ignores) and every
+    /// sign bit is unchanged; the inner loop runs over independent
+    /// accumulators and vectorizes.
+    // phocus-lint: hot-kernel — signs every member of every LSH context
     pub fn sign(&self, v: &[f32]) -> Signature {
         assert_eq!(v.len(), self.dim, "vector dimensionality mismatch");
-        let words = self.bits.div_ceil(64);
-        let mut bits = vec![0u64; words];
-        for b in 0..self.bits {
-            let row = &self.planes[b * self.dim..(b + 1) * self.dim];
-            let dot: f32 = row.iter().zip(v).map(|(p, x)| p * x).sum();
-            if dot >= 0.0 {
-                bits[b / 64] |= 1 << (b % 64);
+        // phocus-lint: allow(alloc-hot) — the one scratch buffer: a dot-product accumulator per plane
+        let mut dots = vec![0.0f32; self.bits];
+        for (row, &x) in self.planes.chunks_exact(self.bits).zip(v) {
+            for (dot, &p) in dots.iter_mut().zip(row) {
+                *dot += p * x;
+            }
+        }
+        // phocus-lint: allow(alloc-hot) — the returned signature's words
+        let mut bits = vec![0u64; self.bits.div_ceil(64)];
+        for (word, chunk) in bits.iter_mut().zip(dots.chunks(64)) {
+            for (k, &dot) in chunk.iter().enumerate() {
+                *word |= u64::from(dot >= 0.0) << k;
             }
         }
         Signature {
@@ -135,21 +171,33 @@ fn gaussian<R: Rng>(rng: &mut R) -> f32 {
     }
 }
 
-/// Exact cosine similarity of two vectors (0 for zero-norm inputs).
+/// Exact cosine similarity of two vectors (0 for zero-norm inputs), in f64.
 pub fn cosine(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let mut dot = 0.0f64;
-    let mut na = 0.0f64;
-    let mut nb = 0.0f64;
     for (&x, &y) in a.iter().zip(b) {
         dot += x as f64 * y as f64;
-        na += x as f64 * x as f64;
-        nb += y as f64 * y as f64;
     }
-    if na == 0.0 || nb == 0.0 {
+    cosine_from_parts(dot, norm(a), norm(b))
+}
+
+/// The Euclidean norm of `v`, accumulated in f64 in coordinate order — the
+/// per-vector half of [`cosine`].
+pub(crate) fn norm(v: &[f32]) -> f64 {
+    let mut sq = 0.0f64;
+    for &x in v {
+        sq += x as f64 * x as f64;
+    }
+    sq.sqrt()
+}
+
+/// The tail of [`cosine`]: the dot product over the two norms, 0 when either
+/// norm is 0, clamped to `[-1, 1]`.
+pub(crate) fn cosine_from_parts(dot: f64, norm_a: f64, norm_b: f64) -> f64 {
+    if norm_a == 0.0 || norm_b == 0.0 {
         0.0
     } else {
-        (dot / (na.sqrt() * nb.sqrt())).clamp(-1.0, 1.0)
+        (dot / (norm_a * norm_b)).clamp(-1.0, 1.0)
     }
 }
 
@@ -194,6 +242,49 @@ mod tests {
         assert_eq!(cosine(&[0.0, 0.0], &[1.0, 0.0]), 0.0);
     }
 
+    /// The fused single-loop cosine the hoisted-norm form replaced.
+    fn reference_cosine(a: &[f32], b: &[f32]) -> f64 {
+        let mut dot = 0.0f64;
+        let mut na = 0.0f64;
+        let mut nb = 0.0f64;
+        for (&x, &y) in a.iter().zip(b) {
+            dot += x as f64 * y as f64;
+            na += x as f64 * x as f64;
+            nb += y as f64 * y as f64;
+        }
+        if na == 0.0 || nb == 0.0 {
+            0.0
+        } else {
+            (dot / (na.sqrt() * nb.sqrt())).clamp(-1.0, 1.0)
+        }
+    }
+
+    #[test]
+    fn hoisted_norm_cosine_matches_fused_reference() {
+        let mut rng = StdRng::seed_from_u64(0xC05);
+        for _ in 0..2000 {
+            let dim = rng.gen_range(1..70usize);
+            let mut draw = || -> Vec<f32> {
+                (0..dim)
+                    .map(|_| match rng.gen_range(0..6u32) {
+                        0 => 0.0,
+                        1 => 1e-20,
+                        _ => rng.gen::<f32>() * 4.0 - 2.0,
+                    })
+                    .collect()
+            };
+            let (a, b) = (draw(), draw());
+            for (x, y) in [(&a, &b), (&a, &a), (&b, &a)] {
+                assert_eq!(cosine(x, y).to_bits(), reference_cosine(x, y).to_bits());
+            }
+            let zero = vec![0.0f32; dim];
+            assert_eq!(
+                cosine(&a, &zero).to_bits(),
+                reference_cosine(&a, &zero).to_bits()
+            );
+        }
+    }
+
     #[test]
     fn band_key_extracts_bits() {
         let h = SimHasher::new(8, 96, 4);
@@ -205,6 +296,86 @@ mod tests {
         let key = s.band_key(start, count);
         for k in 0..count {
             assert_eq!(key >> k & 1 == 1, s.bit(start + k));
+        }
+    }
+
+    /// The row-major signer the transposed kernel replaced: one plane at a
+    /// time, its dot product summed over dimensions.
+    fn reference_sign(h: &SimHasher, v: &[f32]) -> Signature {
+        let mut bits = vec![0u64; h.bits().div_ceil(64)];
+        for b in 0..h.bits() {
+            let row: Vec<f32> = h.plane(b).collect();
+            let dot: f32 = row.iter().zip(v).map(|(p, x)| p * x).sum();
+            if dot >= 0.0 {
+                bits[b / 64] |= 1 << (b % 64);
+            }
+        }
+        Signature {
+            bits,
+            len: h.bits(),
+        }
+    }
+
+    /// The bit-at-a-time band key the word-shift extraction replaced.
+    fn reference_band_key(s: &Signature, start: usize, count: usize) -> u64 {
+        let mut key = 0u64;
+        for k in 0..count {
+            if s.bit(start + k) {
+                key |= 1 << k;
+            }
+        }
+        key
+    }
+
+    #[test]
+    fn transposed_sign_matches_row_major_reference() {
+        let mut rng = StdRng::seed_from_u64(0x5167);
+        for case in 0..200u64 {
+            let dim = rng.gen_range(1..48usize);
+            let bits = rng.gen_range(1..300usize);
+            let h = SimHasher::new(dim, bits, case);
+            for _ in 0..8 {
+                // Zero coordinates (and the all-zero vector, whose every dot
+                // product is an exact zero) exercise the `≥ 0` boundary.
+                let v: Vec<f32> = (0..dim)
+                    .map(|_| match rng.gen_range(0..5u32) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen::<f32>() - 0.5,
+                    })
+                    .collect();
+                assert_eq!(h.sign(&v), reference_sign(&h, &v), "dim {dim} bits {bits}");
+            }
+            assert_eq!(h.sign(&vec![0.0; dim]), reference_sign(&h, &vec![0.0; dim]));
+        }
+    }
+
+    #[test]
+    fn band_key_matches_bitwise_reference_across_word_boundaries() {
+        let mut rng = StdRng::seed_from_u64(0xB4D);
+        for _ in 0..40 {
+            let len = rng.gen_range(1..260usize);
+            let words: Vec<u64> = (0..len.div_ceil(64)).map(|_| rng.gen::<u64>()).collect();
+            let s = Signature { bits: words, len };
+            for start in 0..len {
+                for count in 0..=64.min(len - start) {
+                    assert_eq!(
+                        s.band_key(start, count),
+                        reference_band_key(&s, start, count),
+                        "len {len} start {start} count {count}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plane_reads_back_the_sampled_normals() {
+        let h = SimHasher::new(5, 70, 11);
+        let mut rng = StdRng::seed_from_u64(11);
+        for b in 0..70 {
+            let expected: Vec<f32> = (0..5).map(|_| gaussian(&mut rng)).collect();
+            assert_eq!(h.plane(b).collect::<Vec<f32>>(), expected, "plane {b}");
         }
     }
 

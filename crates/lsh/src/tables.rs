@@ -1,25 +1,87 @@
-//! Banded LSH tables: bucket signatures band by band and emit candidate
+//! Banded LSH tables: group signatures band by band and emit candidate
 //! pairs that collide in at least one band.
 
 use crate::simhash::Signature;
-use std::collections::HashMap;
 
 /// A banded index over a set of signatures.
 ///
 /// Band `k` uses signature bits `[k·rows, (k+1)·rows)`. Two items are
-/// *candidates* if they share a bucket in any band. `for_candidate_pairs`
-/// deduplicates pairs across bands.
+/// *candidates* if they share a bucket in any band. Each band keeps its item
+/// indices stably sorted by band key, so a bucket is one contiguous *run* of
+/// that order with its members in ascending index order.
+/// `for_candidate_pairs` deduplicates pairs across bands.
 #[derive(Debug)]
 pub struct LshIndex {
-    /// Per band: bucket key → item indices.
-    tables: Vec<HashMap<u64, Vec<u32>>>,
+    bands: Vec<Band>,
     num_items: usize,
+    max_bucket: usize,
+}
+
+/// One band of the index: the items sorted into runs of equal band key.
+#[derive(Debug)]
+struct Band {
+    /// Item indices sorted by `(band key, index)`.
+    order: Vec<u32>,
+    /// For each item, the positions of `order` holding the rest of its run:
+    /// its bucket-mates with larger indices.
+    later: Vec<(u32, u32)>,
+}
+
+impl Band {
+    fn build(signatures: &[Signature], start: usize, rows: usize) -> Band {
+        // Sorting `(key, index)` orders by key with index breaking every tie,
+        // which is the stable sort by key. Keys of up to 32 bits pack with
+        // the index into one u64, which sorts faster than the pair.
+        let (keys, order): (Vec<u64>, Vec<u32>) = if rows <= 32 {
+            let mut packed: Vec<u64> = (0u32..)
+                .zip(signatures)
+                .map(|(i, sig)| sig.band_key(start, rows) << 32 | u64::from(i))
+                .collect();
+            packed.sort_unstable();
+            // phocus-lint: allow(cast-bounds) — the low 32 bits hold the u32 index packed above
+            packed.into_iter().map(|k| (k >> 32, k as u32)).unzip()
+        } else {
+            let mut keyed: Vec<(u64, u32)> = (0u32..)
+                .zip(signatures)
+                .map(|(i, sig)| (sig.band_key(start, rows), i))
+                .collect();
+            keyed.sort_unstable();
+            keyed.into_iter().unzip()
+        };
+        // Walking backwards, a position closes its run when the next key
+        // differs (or the order ends there).
+        let n = order.len();
+        let mut later = vec![(0u32, 0u32); n];
+        let mut end = n;
+        for p in (0..n).rev() {
+            if p + 1 < n && keys[p] != keys[p + 1] {
+                end = p + 1;
+            }
+            // phocus-lint: allow(cast-bounds) — p < end ≤ n ≤ u32::MAX, asserted in LshIndex::build
+            later[order[p] as usize] = (p as u32 + 1, end as u32);
+        }
+        Band { order, later }
+    }
+
+    /// The largest run (bucket) of this band: the run an item opens spans
+    /// the item itself plus its later mates.
+    fn max_run(&self) -> usize {
+        self.later
+            .iter()
+            .map(|&(from, end)| (end - from) as usize + 1)
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 impl LshIndex {
     /// Builds the index. Signatures must have at least `rows · bands` bits.
     pub fn build(signatures: &[Signature], rows: usize, bands: usize) -> Self {
         assert!((1..=64).contains(&rows), "rows must fit a u64 band key");
+        assert!(
+            signatures.len() <= u32::MAX as usize,
+            "item indices must fit in u32"
+        );
         if let Some(s) = signatures.first() {
             assert!(
                 s.len() >= rows * bands,
@@ -28,20 +90,16 @@ impl LshIndex {
                 rows * bands
             );
         }
-        // Bands are independent: build each band's table on its own worker.
-        // Within a band the items are inserted in index order, so every
-        // bucket's contents are identical to a serial build.
-        let tables: Vec<HashMap<u64, Vec<u32>>> = par_exec::par_map_indexed(bands, |k| {
-            let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
-            for (i, sig) in signatures.iter().enumerate() {
-                let key = sig.band_key(k * rows, rows);
-                table.entry(key).or_default().push(i as u32);
-            }
-            table
-        });
+        // Bands are independent: sort each band on its own worker. The order
+        // within a band depends only on keys and indices, so the index is
+        // identical to a serial build.
+        let bands: Vec<Band> =
+            par_exec::par_map_indexed(bands, |k| Band::build(signatures, k * rows, rows));
+        let max_bucket = bands.iter().map(Band::max_run).max().unwrap_or(0);
         LshIndex {
-            tables,
+            bands,
             num_items: signatures.len(),
+            max_bucket,
         }
     }
 
@@ -55,31 +113,38 @@ impl LshIndex {
         self.num_items == 0
     }
 
-    /// Calls `f(i, j)` (with `i < j`) once for every candidate pair.
+    /// Calls `f(i, j)` (with `i < j`) once for every candidate pair, in
+    /// ascending `(i, j)` order.
     ///
-    /// Pairs colliding in several bands are deduplicated by collecting the
-    /// packed keys and sort-deduping — substantially faster than hashing
-    /// each occurrence when buckets are large.
+    /// For each item `a`, every band contributes the members of `a`'s run
+    /// that come after `a` — exactly its bucket-mates with larger indices. A
+    /// per-item stamp drops the partners several bands share, and sorting the
+    /// few survivors gives `a`'s row in ascending order. No pair list over
+    /// all bands is ever materialized.
+    // phocus-lint: hot-kernel — enumerates every colliding pair of every LSH context
     pub fn for_candidate_pairs(&self, mut f: impl FnMut(u32, u32)) {
-        let mut keys: Vec<u64> = Vec::new();
-        for table in &self.tables {
-            // phocus-lint: allow(hash-iter) — pair keys are sort-deduped below, so bucket order cannot reach the caller
-            for bucket in table.values() {
-                if bucket.len() < 2 {
-                    continue;
-                }
-                for (a_pos, &a) in bucket.iter().enumerate() {
-                    for &b in &bucket[a_pos + 1..] {
-                        let (i, j) = if a < b { (a, b) } else { (b, a) };
-                        keys.push(((i as u64) << 32) | j as u64);
+        let n = self.num_items;
+        // phocus-lint: allow(alloc-hot) — the one scratch buffer: per-item stamps, then the row being collected
+        let mut scratch = vec![0u32; 2 * n];
+        let (stamp, row) = scratch.split_at_mut(n);
+        for (a, item) in (0u32..).zip(0..n) {
+            // Stamps hold `a + 1` (≤ n ≤ u32::MAX), so zero marks no item.
+            let mut len = 0;
+            for band in &self.bands {
+                let (from, end) = band.later[item];
+                for &b in &band.order[from as usize..end as usize] {
+                    if stamp[b as usize] != a + 1 {
+                        stamp[b as usize] = a + 1;
+                        row[len] = b;
+                        len += 1;
                     }
                 }
             }
-        }
-        keys.sort_unstable();
-        keys.dedup();
-        for k in keys {
-            f((k >> 32) as u32, k as u32);
+            let partners = &mut row[..len];
+            partners.sort_unstable();
+            for &b in partners.iter() {
+                f(a, b);
+            }
         }
     }
 
@@ -93,12 +158,7 @@ impl LshIndex {
     /// The largest bucket size across all bands — a skew diagnostic: huge
     /// buckets degrade LSH toward quadratic behavior.
     pub fn max_bucket(&self) -> usize {
-        self.tables
-            .iter()
-            .flat_map(|t| t.values())
-            .map(|b| b.len())
-            .max()
-            .unwrap_or(0)
+        self.max_bucket
     }
 }
 
@@ -169,5 +229,138 @@ mod tests {
         let sigs: Vec<_> = vecs.iter().map(|v| h.sign(v)).collect();
         let idx = LshIndex::build(&sigs, 4, 16);
         assert_eq!(idx.max_bucket(), 10);
+    }
+}
+
+/// The hash-table index the sorted-run index replaced, kept as the oracle
+/// its candidate sequence and `max_bucket` are checked against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
+
+    /// Per band: bucket key → item indices, inserted in index order.
+    struct HashIndex {
+        tables: Vec<HashMap<u64, Vec<u32>>>,
+    }
+
+    impl HashIndex {
+        fn build(signatures: &[Signature], rows: usize, bands: usize) -> Self {
+            let tables = (0..bands)
+                .map(|k| {
+                    let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
+                    for (i, sig) in signatures.iter().enumerate() {
+                        let key = sig.band_key(k * rows, rows);
+                        table.entry(key).or_default().push(i as u32);
+                    }
+                    table
+                })
+                .collect();
+            HashIndex { tables }
+        }
+
+        /// Every colliding pair of every bucket, packed, sort-deduped.
+        fn candidate_pairs(&self) -> Vec<(u32, u32)> {
+            let mut keys: Vec<u64> = Vec::new();
+            for table in &self.tables {
+                for bucket in table.values() {
+                    for (a_pos, &a) in bucket.iter().enumerate() {
+                        for &b in &bucket[a_pos + 1..] {
+                            let (i, j) = if a < b { (a, b) } else { (b, a) };
+                            keys.push(((i as u64) << 32) | j as u64);
+                        }
+                    }
+                }
+            }
+            keys.sort_unstable();
+            keys.dedup();
+            keys.into_iter()
+                .map(|k| ((k >> 32) as u32, k as u32))
+                .collect()
+        }
+
+        fn max_bucket(&self) -> usize {
+            self.tables
+                .iter()
+                .flat_map(|t| t.values())
+                .map(|b| b.len())
+                .max()
+                .unwrap_or(0)
+        }
+    }
+
+    /// Signatures drawn from a few prototypes with sparse bit flips: heavy
+    /// collisions in every band, plus some unrelated items.
+    fn colliding_signatures(rng: &mut StdRng, n: usize, len: usize) -> Vec<Signature> {
+        let words = len.div_ceil(64);
+        let protos: Vec<Vec<u64>> = (0..rng.gen_range(1..5usize))
+            .map(|_| (0..words).map(|_| rng.gen::<u64>()).collect())
+            .collect();
+        (0..n)
+            .map(|_| {
+                let mut bits = if rng.gen_range(0..8u32) == 0 {
+                    (0..words).map(|_| rng.gen::<u64>()).collect()
+                } else {
+                    protos[rng.gen_range(0..protos.len())].clone()
+                };
+                for _ in 0..rng.gen_range(0..4usize) {
+                    let b = rng.gen_range(0..len);
+                    bits[b / 64] ^= 1 << (b % 64);
+                }
+                if !len.is_multiple_of(64) {
+                    bits[words - 1] &= (1u64 << (len % 64)) - 1;
+                }
+                Signature { bits, len }
+            })
+            .collect()
+    }
+
+    fn candidates(index: &LshIndex) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        index.for_candidate_pairs(|i, j| out.push((i, j)));
+        out
+    }
+
+    #[test]
+    fn sorted_runs_match_hash_index_sequence_and_skew() {
+        let mut rng = StdRng::seed_from_u64(0x7AB1E5);
+        for case in 0..300 {
+            // Every band width in 1..=64 recurs; widths that do not divide
+            // 64 make bands straddle u64 words.
+            let rows = 1 + case % 64;
+            let bands = rng.gen_range(1..6usize);
+            let len = rows * bands + rng.gen_range(0..70usize);
+            let n = rng.gen_range(0..60usize);
+            let sigs = colliding_signatures(&mut rng, n, len);
+            let fast = LshIndex::build(&sigs, rows, bands);
+            let slow = HashIndex::build(&sigs, rows, bands);
+            assert_eq!(
+                candidates(&fast),
+                slow.candidate_pairs(),
+                "rows {rows} bands {bands} n {n}"
+            );
+            assert_eq!(
+                fast.max_bucket(),
+                slow.max_bucket(),
+                "rows {rows} bands {bands}"
+            );
+            assert_eq!(fast.len(), n);
+        }
+    }
+
+    #[test]
+    fn identical_signatures_form_one_run_per_band() {
+        let sig = Signature {
+            bits: vec![0xDEAD_BEEF_F00D_CAFE, 0x0123_4567],
+            len: 100,
+        };
+        let sigs = vec![sig; 7];
+        let fast = LshIndex::build(&sigs, 33, 3);
+        let slow = HashIndex::build(&sigs, 33, 3);
+        assert_eq!(candidates(&fast), slow.candidate_pairs());
+        assert_eq!(candidates(&fast).len(), 21);
+        assert_eq!(fast.max_bucket(), 7);
     }
 }

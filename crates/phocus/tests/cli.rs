@@ -136,6 +136,31 @@ fn nan_weight_file_is_rejected_as_invalid_data() {
 }
 
 #[test]
+fn ragged_embedding_file_is_rejected_as_invalid_data() {
+    let path = std::env::temp_dir().join("phocus_cli_ragged.universe");
+    std::fs::write(
+        &path,
+        "photo\t0\t100\ta\nphoto\t1\t100\tb\nembedding\t0\t1.0\t0.0\n\
+         embedding\t1\t0.5\t0.5\t0.5\nsubset\tq\t1\t0:1\t1:1\n",
+    )
+    .unwrap();
+    let dataset = format!("file:{}", path.display());
+    for extra in [&[][..], &["--ns"][..]] {
+        let mut args = vec!["solve", "--dataset", &dataset, "--budget-mb", "1"];
+        args.extend_from_slice(extra);
+        let out = phocus(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "ragged embeddings exit 3 ({extra:?})"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("dimension"), "names the problem: {err}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn missing_file_exits_with_io_code() {
     let out = phocus(&[
         "solve",

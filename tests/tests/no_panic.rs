@@ -12,7 +12,7 @@ use par_core::{
     fnv1a64, pack_instance, unpack_instance, InstanceBuilder, ModelError, PhotoId, SparseSim,
     SubsetId, UnitSimilarity,
 };
-use par_datasets::{from_text, to_text, SubsetDef, Universe};
+use par_datasets::{from_text, to_text, DatasetError, SubsetDef, Universe};
 use par_embed::Embedding;
 use phocus::{ActionLadder, CompressionLevel, Phocus, PhocusError};
 use proptest::prelude::*;
@@ -140,7 +140,7 @@ fn base_universe(n: usize) -> Universe {
 
 /// Every way this harness knows to corrupt a universe.
 fn corrupt(u: &mut Universe, case: u64, raw: u64) {
-    match case % 13 {
+    match case % 14 {
         0 => u.subsets[0].weight = f64::NAN,
         1 => u.subsets[0].weight = f64::INFINITY,
         2 => u.subsets[1].weight = f64::NEG_INFINITY,
@@ -165,7 +165,27 @@ fn corrupt(u: &mut Universe, case: u64, raw: u64) {
         10 => u.subsets[0].relevance.pop().map_or((), drop),
         11 => u.subsets[1].members[0] = u.subsets[1].members[1 % u.subsets[1].members.len()],
         12 => u.subsets[0].relevance[0] = -1.0,
+        13 => {
+            // Ragged embeddings: one photo's vector has another dimension.
+            let i = raw as usize % u.embeddings.len();
+            let dim = u.embeddings[i].dim() + 1 + raw as usize % 3;
+            u.embeddings[i] = Embedding::new(vec![0.5; dim]);
+        }
         _ => unreachable!(),
+    }
+}
+
+/// A universe whose embeddings disagree in dimension is rejected as invalid
+/// data when parsed, not left to panic in a similarity kernel.
+#[test]
+fn ragged_embeddings_are_rejected_at_parse() {
+    for raw in 0..12u64 {
+        let mut u = base_universe(6);
+        corrupt(&mut u, 13, raw);
+        match from_text(&to_text(&u)) {
+            Err(DatasetError::InvalidUniverse(msg)) => assert!(msg.contains("dimension"), "{msg}"),
+            other => panic!("ragged embeddings must be InvalidUniverse, got {other:?}"),
+        }
     }
 }
 
