@@ -91,6 +91,35 @@ cargo run --release -q -p phocus -- "${PACK_ARGS[@]}" --out /tmp/phocus_pack_b.p
 cmp /tmp/phocus_pack_a.pack /tmp/phocus_pack_b.pack
 cargo run --release -q -p phocus -- pack --check /tmp/phocus_pack_a.pack
 
+# Catalog determinism gate: building a catalog twice from the same tenants
+# must write a byte-identical index and byte-identical packs, and serving
+# off it twice must print the same report (apart from the wall-clock ms=
+# and inst_per_sec= fields) and write the same solution trees.
+echo "==> catalog determinism gate (phocus catalog build + serve-batch --catalog, two runs each)"
+CAT_DIR=/tmp/phocus_catalog_gate
+rm -rf "$CAT_DIR"
+mkdir -p "$CAT_DIR"
+for ds in tiny p1k ec-fashion; do
+  cargo run --release -q -p phocus -- export --dataset "$ds" --out "$CAT_DIR/$ds.universe"
+  echo "$CAT_DIR/$ds.universe" >> "$CAT_DIR/tenants.txt"
+done
+for run in a b; do
+  cargo run --release -q -p phocus -- catalog build --list "$CAT_DIR/tenants.txt" \
+    --out-dir "$CAT_DIR/catalog_$run" > /dev/null
+done
+cmp "$CAT_DIR/catalog_a/catalog.idx" "$CAT_DIR/catalog_b/catalog.idx"
+for pack in "$CAT_DIR"/catalog_a/*.pack; do
+  cmp "$pack" "$CAT_DIR/catalog_b/${pack##*/}"
+done
+for run in a b; do
+  cargo run --release -q -p phocus -- serve-batch --catalog "$CAT_DIR/catalog_$run" \
+    --out-dir "$CAT_DIR/solutions_$run" \
+    | sed -e 's/\tms=[0-9.]*//' -e 's/\tinst_per_sec=[0-9.]*//' > "$CAT_DIR/serve_$run.txt"
+done
+diff "$CAT_DIR/serve_a.txt" "$CAT_DIR/serve_b.txt"
+diff -r "$CAT_DIR/solutions_a" "$CAT_DIR/solutions_b"
+grep -q '^batch.*tenants=3.*failed=0$' "$CAT_DIR/serve_a.txt"
+
 # Churn-replay determinism gate: the same epoch session, replayed twice with
 # --check (every epoch verified bit-identical to a from-scratch solve
 # in-process), must print byte-identical reports apart from the wall-clock

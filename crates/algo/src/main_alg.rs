@@ -43,8 +43,8 @@ pub fn main_algorithm(inst: &Instance) -> MainOutcome {
 }
 
 /// Runs Algorithm 1 through the component-sharded solver of
-/// [`crate::sharded`]: the instance is decomposed once and both sub-runs
-/// reuse the decomposition. Transcripts (and score bits) are identical to
+/// [`crate::sharded`]: the instance's shards are labeled once and both
+/// sub-runs reuse the labels. Transcripts (and score bits) are identical to
 /// [`main_algorithm`]; only the instrumentation counters differ.
 pub fn main_algorithm_sharded(inst: &Instance) -> MainOutcome {
     let solver = ShardedSolver::new(inst);

@@ -3,7 +3,7 @@
 //! [`sharded_lazy_greedy`] produces a **bit-identical** transcript to the
 //! global [`lazy_greedy`](crate::lazy_greedy) — same photos, same order,
 //! same `f64` score bits — while doing strictly less gain recomputation.
-//! The instance is first split by [`par_core::components::decompose`] into
+//! The photos are first labeled by [`par_core::shard_labels`] with the
 //! shards that interact only through the shared budget. Each shard then runs
 //! its own lazy stream (a CELF heap plus per-photo staleness stamps), and a
 //! budget-aware coordinator repeatedly takes the stream whose *settled* top
@@ -13,8 +13,10 @@
 //! All streams share **one** evaluator — the prepared solver's clone of the
 //! post-`S₀` arena — so every gain is computed by the very same code on the
 //! very same state as the global solver's, making bit-identity of scores a
-//! triviality rather than a theorem about sub-instance remapping. The
-//! decomposition buys speed through what is *not* recomputed, at two levels:
+//! triviality rather than a theorem about sub-instance remapping — and the
+//! solver needs nothing from the decomposition beyond each photo's shard
+//! label. The decomposition buys speed through what is *not* recomputed, at
+//! two levels:
 //!
 //! 1. **Across shards**: the global heap's epoch counter advances on *every*
 //!    accept, so every cached entry goes stale even when the accepted photo
@@ -40,7 +42,7 @@
 //!
 //! On top of removing redundant re-evaluations, the prepared
 //! [`ShardedSolver`] amortizes all rule-independent work across solves: the
-//! decomposition, the `S₀` replay, and the epoch-0 seed sweep (marginal
+//! shard labeling, the `S₀` replay, and the epoch-0 seed sweep (marginal
 //! gains at the post-`S₀` state do not depend on the greedy rule; each
 //! solve derives its keys as `rule.key(δ, cost)` exactly as the global
 //! seeding does). Algorithm 1 runs both rules, so its sharded form pays for
@@ -72,8 +74,10 @@
 use crate::celf::Entry;
 use crate::types::{GreedyOutcome, RunStats};
 use crate::GreedyRule;
-use par_core::components::{decompose, decompose_with_labels, Decomposition, ShardLabels};
-use par_core::{ContextSim, EvalArena, EvalStats, Evaluator, Instance, PhotoId, SubsetId};
+use par_core::{
+    shard_labels, ContextSim, EvalArena, EvalStats, Evaluator, Instance, PhotoId, ShardLabels,
+    SubsetId,
+};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -238,14 +242,14 @@ impl Ord for MergeEntry {
     }
 }
 
-/// A reusable component-sharded solver: decomposes the instance, replays
-/// `S₀`, and runs the rule-independent seed sweep **once**, then solves any
-/// number of times (e.g. under both greedy rules, as
+/// A reusable component-sharded solver: labels the instance's shards,
+/// replays `S₀`, and runs the rule-independent seed sweep **once**, then
+/// solves any number of times (e.g. under both greedy rules, as
 /// [`main_algorithm_sharded`](crate::main_algorithm_sharded) does).
 #[derive(Debug)]
 pub struct ShardedSolver<'a> {
     inst: &'a Instance,
-    dec: Decomposition,
+    labels: ShardLabels,
     /// The shared arena with `S₀` replayed; cloned per solve (the clone
     /// shares the offset/weight layout and copies only the mutable state).
     base: Evaluator<'a>,
@@ -275,23 +279,23 @@ pub(crate) fn rule_index(rule: GreedyRule) -> usize {
 }
 
 impl<'a> ShardedSolver<'a> {
-    /// Decomposes `inst` into photo–query components and prepares the shared
+    /// Labels `inst`'s photo–query components and prepares the shared
     /// post-`S₀` state: the evaluator arena and the seed-gain sweep (one
     /// parallel batch through `par-exec`).
     pub fn new(inst: &'a Instance) -> Self {
-        Self::build(inst, &mut EvalArena::new())
+        Self::build(inst, shard_labels(inst), &mut EvalArena::new())
     }
 
     /// [`new`](Self::new) drawing the base evaluator's buffers from
     /// `scratch`. Bit-identical preparation; pair with
     /// [`recycle`](Self::recycle) to return the buffers afterwards.
     pub fn new_in(inst: &'a Instance, scratch: &mut SolveScratch) -> Self {
-        Self::build(inst, &mut scratch.base_eval)
+        Self::build(inst, shard_labels(inst), &mut scratch.base_eval)
     }
 
     /// [`new_in`](Self::new_in) with the component labeling precomputed —
     /// resident labels from the epoch layer or labels bulk-read from a
-    /// `phocus-pack` file skip the union-find pass of [`decompose`]. The
+    /// `phocus-pack` file skip the union-find pass of [`shard_labels`]. The
     /// labels must equal `shard_labels(inst)` (the pack writer derives them
     /// exactly so); everything downstream is bit-identical to
     /// [`new`](Self::new).
@@ -300,14 +304,11 @@ impl<'a> ShardedSolver<'a> {
         labels: ShardLabels,
         scratch: &mut SolveScratch,
     ) -> Self {
-        Self::build_with(inst, decompose_with_labels(inst, labels), &mut scratch.base_eval)
+        debug_assert_eq!(labels.photo_shards().len(), inst.num_photos());
+        Self::build(inst, labels, &mut scratch.base_eval)
     }
 
-    fn build(inst: &'a Instance, arena: &mut EvalArena) -> Self {
-        Self::build_with(inst, decompose(inst), arena)
-    }
-
-    fn build_with(inst: &'a Instance, dec: Decomposition, arena: &mut EvalArena) -> Self {
+    fn build(inst: &'a Instance, labels: ShardLabels, arena: &mut EvalArena) -> Self {
         let mut base = Evaluator::new_in(inst, arena);
         for &p in inst.required() {
             base.add(p);
@@ -324,12 +325,12 @@ impl<'a> ShardedSolver<'a> {
             .collect(); // phocus-lint: allow(alloc-hot) — stream construction, once per run, not the pop loop
         let gains = base.batch_gains(&candidates);
         // phocus-lint: allow(alloc-hot) — stream construction, once per run
-        let mut seed_by_shard: Vec<Vec<(PhotoId, f64)>> = vec![Vec::new(); dec.num_shards()];
+        let mut seed_by_shard: Vec<Vec<(PhotoId, f64)>> = vec![Vec::new(); labels.num_shards()];
         for (&p, &delta) in candidates.iter().zip(&gains) {
-            seed_by_shard[dec.shard_of(p)].push((p, delta));
+            seed_by_shard[labels.shard_of(p)].push((p, delta));
         }
         let base_stats = base.stats();
-        let pool_sorted = dec.singleton_pool().map(|pool| {
+        let pool_sorted = labels.singleton_pool().map(|pool| {
             [GreedyRule::UnitCost, GreedyRule::CostBenefit].map(|rule| {
                 let mut entries: Vec<Entry> = seed_by_shard[pool]
                     .iter()
@@ -345,7 +346,7 @@ impl<'a> ShardedSolver<'a> {
         });
         ShardedSolver {
             inst,
-            dec,
+            labels,
             base,
             base_stats,
             seed_by_shard,
@@ -353,9 +354,9 @@ impl<'a> ShardedSolver<'a> {
         }
     }
 
-    /// The underlying component decomposition.
-    pub fn decomposition(&self) -> &Decomposition {
-        &self.dec
+    /// The shard labeling the solver runs on.
+    pub fn labels(&self) -> &ShardLabels {
+        &self.labels
     }
 
     /// Sharded equivalent of [`lazy_greedy`](crate::lazy_greedy).
@@ -365,10 +366,10 @@ impl<'a> ShardedSolver<'a> {
 
     /// [`solve`](Self::solve) under an arbitrary budget `B'` instead of the
     /// instance's own: bit-identical to solving `inst.with_budget(B')` from
-    /// scratch, but reusing this solver's decomposition, `S₀` replay and
+    /// scratch, but reusing this solver's shard labels, `S₀` replay and
     /// seed sweep (all budget-independent). This is what lets a sorted
     /// budget sweep — [`quality_curve`](crate::quality_curve) — prepare the
-    /// sharded decomposition once.
+    /// sharded solver once.
     pub fn solve_with_budget(&self, rule: GreedyRule, budget: u64) -> GreedyOutcome {
         self.solve_inner(None, rule, None, budget)
     }
@@ -404,7 +405,7 @@ impl<'a> ShardedSolver<'a> {
     ) -> GreedyOutcome {
         let start = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
         let inst = self.inst;
-        let dec = &self.dec;
+        let labels = &self.labels;
         let mut ev = match scratch.as_deref_mut() {
             Some(sc) => self.base.clone_in(&mut sc.solve_eval),
             None => self.base.clone(),
@@ -423,9 +424,9 @@ impl<'a> ShardedSolver<'a> {
                 .filter(|&p| !ev.is_selected(p) && ev.fits(p, budget))
                 .collect();
             let gains = ev.batch_gains(&candidates);
-            let mut by_shard = vec![Vec::new(); dec.num_shards()];
+            let mut by_shard = vec![Vec::new(); labels.num_shards()];
             for (&p, &delta) in candidates.iter().zip(&gains) {
-                by_shard[dec.shard_of(p)].push((p, delta));
+                by_shard[labels.shard_of(p)].push((p, delta));
             }
             by_shard
         });
@@ -438,7 +439,7 @@ impl<'a> ShardedSolver<'a> {
         // rotate through, without one they fan out through par-exec. Pop
         // order is fully determined by the entry ordering, so all three
         // paths are transcript-identical.
-        let pool = dec.singleton_pool();
+        let pool = labels.singleton_pool();
         // The prepared seeds cover every unselected photo; affordability is
         // applied here against *this solve's* budget. At stream-build time
         // the evaluator holds exactly the state the seeds were swept at
@@ -496,10 +497,10 @@ impl<'a> ShardedSolver<'a> {
             }
         };
         let mut streams: Vec<ShardStream> = match scratch.as_deref_mut() {
-            Some(sc) => (0..dec.num_shards())
+            Some(sc) => (0..labels.num_shards())
                 .map(|s| make_stream(s, sc.entries.pop().unwrap_or_default()))
                 .collect(),
-            None => par_exec::par_map_indexed(dec.num_shards(), |s| make_stream(s, Vec::new())),
+            None => par_exec::par_map_indexed(labels.num_shards(), |s| make_stream(s, Vec::new())),
         };
 
         // Per-photo staleness versions; all zero, matching the epoch-0 seed
@@ -812,7 +813,7 @@ mod tests {
     fn sharded_recomputes_less_on_multi_component_instances() {
         let inst = random_instance(5, &RandomInstanceConfig::default()).sparsify(0.85);
         let solver = ShardedSolver::new(&inst);
-        if solver.decomposition().num_shards() < 2 {
+        if solver.labels().num_shards() < 2 {
             return; // nothing to save on a single component
         }
         let global = lazy_greedy(&inst, GreedyRule::CostBenefit);

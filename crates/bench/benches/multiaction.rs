@@ -59,7 +59,7 @@ fn bench_multiaction_solver(c: &mut Criterion) {
             "multiaction_solver/{label}: {} actions, {} queries, {} components",
             inst.num_photos(),
             inst.num_subsets(),
-            solver.decomposition().num_shards()
+            solver.labels().num_shards()
         );
         // The contract the multiaction integration tests pin, re-checked on
         // the exact instances being timed: bit-identical transcripts.
@@ -70,7 +70,7 @@ fn bench_multiaction_solver(c: &mut Criterion) {
             assert_eq!(sharded.score.to_bits(), global.score.to_bits());
         }
         group.bench_function(BenchmarkId::new("prepare", label), |b| {
-            b.iter(|| std::hint::black_box(ShardedSolver::new(&inst).decomposition().num_shards()))
+            b.iter(|| std::hint::black_box(ShardedSolver::new(&inst).labels().num_shards()))
         });
         for (rule, name) in [
             (GreedyRule::CostBenefit, "cb"),

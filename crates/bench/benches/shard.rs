@@ -12,22 +12,28 @@
 //! state: `global` is [`lazy_greedy`] exactly as `phocus` ran it before
 //! sharding; `sharded` is [`ShardedSolver::solve`] on a solver prepared
 //! once per instance, the way `main_algorithm_sharded` and the Figure 5
-//! runners use it (the preparation — decomposition, `S₀` replay, and the
+//! runners use it (the preparation — shard labeling, `S₀` replay, and the
 //! rule-independent seed sweep — is amortized over every solve on the
 //! instance and timed as its own `prepare` row).
 //!
+//! The `algorithm1` rows count the preparation too: Algorithm 1 end to end,
+//! [`main_algorithm_sharded`] (prepare once, solve both rules) against
+//! [`main_algorithm`] (both rules on the global heap), alternated round by
+//! round and asserted identical before timing.
+//!
 //! Groups:
 //!
-//! * `shard_solver` — global vs sharded per rule on two instances under an
-//!   installed *serial* `Parallelism` (single-core; the before/after rows
-//!   of `BENCH_shard.json`): `t95` = τ=0.95, B = C(P)/5 (163 components)
-//!   and `t92` = τ=0.92, B = C(P)/10 (493 components);
+//! * `shard_solver` — global vs sharded per rule, and Algorithm 1 end to
+//!   end, on two instances under an installed *serial* `Parallelism`
+//!   (single-core; the before/after rows of `BENCH_shard.json`): `t95` =
+//!   τ=0.95, B = C(P)/5 (163 components) and `t92` = τ=0.92, B = C(P)/10
+//!   (493 components);
 //! * `shard_scaling` — the sharded solver at 1/2/4 worker threads (the
 //!   per-shard stream builds dispatch through `par-exec`), for the scaling
 //!   rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use par_algo::{lazy_greedy, GreedyRule, ShardedSolver};
+use par_algo::{lazy_greedy, main_algorithm, main_algorithm_sharded, GreedyRule, ShardedSolver};
 use par_bench::{dataset, DatasetId, Scale};
 use par_core::Instance;
 use par_exec::Parallelism;
@@ -50,6 +56,11 @@ fn sparse_10k(tau: f64, budget_div: u64) -> Instance {
 
 fn bench_shard_solver(c: &mut Criterion) {
     let prev = Parallelism::serial().install_global();
+    let rounds = if std::env::var("CRITERION_QUICK").is_ok_and(|v| v != "0") {
+        1
+    } else {
+        3
+    };
     let mut group = c.benchmark_group("shard_solver");
     group.sample_size(20);
     for (label, tau, budget_div) in [("t95", 0.95, 5), ("t92", 0.92, 10)] {
@@ -59,12 +70,12 @@ fn bench_shard_solver(c: &mut Criterion) {
             "shard_solver/{label}: {} photos, {} queries, {} components",
             inst.num_photos(),
             inst.num_subsets(),
-            solver.decomposition().num_shards()
+            solver.labels().num_shards()
         );
         // Per-instance preprocessing, amortized over both Algorithm 1 rules
         // (and any warm-started re-solve): timed as its own row.
         group.bench_function(BenchmarkId::new("prepare", label), |b| {
-            b.iter(|| std::hint::black_box(ShardedSolver::new(&inst).decomposition().num_shards()))
+            b.iter(|| std::hint::black_box(ShardedSolver::new(&inst).labels().num_shards()))
         });
         for (rule, name) in [
             (GreedyRule::CostBenefit, "cb"),
@@ -77,6 +88,23 @@ fn bench_shard_solver(c: &mut Criterion) {
                 BenchmarkId::new("sharded", format!("{label}_{name}")),
                 |b| b.iter(|| std::hint::black_box(solver.solve(rule).score)),
             );
+        }
+        // Algorithm 1 end to end, preparation included on both sides.
+        let global = main_algorithm(&inst);
+        let sharded = main_algorithm_sharded(&inst);
+        assert_eq!(sharded.best.selected, global.best.selected);
+        assert_eq!(sharded.best.score.to_bits(), global.best.score.to_bits());
+        assert_eq!(sharded.winner, global.winner);
+        for round in 1..=rounds {
+            let id = |side: &str| {
+                BenchmarkId::new(format!("algorithm1/{label}/{side}"), format!("r{round}"))
+            };
+            group.bench_function(id("global"), |b| {
+                b.iter(|| std::hint::black_box(main_algorithm(&inst).best.score))
+            });
+            group.bench_function(id("sharded"), |b| {
+                b.iter(|| std::hint::black_box(main_algorithm_sharded(&inst).best.score))
+            });
         }
     }
     group.finish();

@@ -9,54 +9,30 @@
 //! budget `B`. τ-sparsification (Section 4.3) makes these components
 //! numerous and small on realistic archives.
 //!
-//! [`decompose`] computes the components from the similarity stores:
+//! [`shard_labels`] computes the components from the similarity stores:
 //!
-//! * [`ContextSim::Sparse`] queries contribute one edge per stored CSR pair;
+//! * [`ContextSim::Sparse`] queries contribute one edge per stored CSR pair,
+//!   so a sparse query's members may land in several components;
 //! * [`ContextSim::Dense`] and [`ContextSim::Unit`] queries couple all their
 //!   members (the dense gain kernel visits every co-member, so a dense query
-//!   is never split);
-//! * queries whose members span several components are split into
-//!   per-component *fragments* — the member sub-list in original order, with
-//!   the weight and the relevance sub-slice copied bit-exactly and **no**
-//!   re-normalization, so fragment `W·R` products equal the parent's.
+//!   always sits in one component).
 //!
 //! Components with a single photo (photos with no memberships, or members
 //! with no stored similarity edges at all) are merged into one residual
 //! shard: they never interact with anything, and pooling them avoids
-//! thousands of one-photo evaluators.
+//! thousands of one-photo streams.
 //!
-//! Each resulting [`ComponentView`] materializes a self-contained
-//! [`Instance`] over remapped photo/query ids (sharing unsplit similarity
-//! stores with the parent via `Arc`), so the per-shard
-//! [`Evaluator`](crate::Evaluator) arenas reuse the offset-addressed layout
-//! unchanged — just sized to the shard.
+//! The result is a labeling only — one shard index per photo — and nothing
+//! is copied out of the instance. The sharded solver runs every shard's
+//! stream over the one shared evaluator, so it needs to know which shard a
+//! photo is in and nothing more.
 
 use crate::instance::Instance;
 use crate::sim::ContextSim;
-use crate::{Photo, PhotoId, Subset, SubsetId};
-use std::sync::Arc;
+use crate::PhotoId;
 
-/// One connected component of the photo-interaction graph, materialized as a
-/// self-contained sub-instance with local photo and subset ids.
-#[derive(Debug)]
-pub struct ComponentView {
-    /// The shard as a standalone instance: photos, query fragments,
-    /// memberships and similarity stores all remapped to local ids. The
-    /// budget is the parent's full `B` (the coordinator, not the shard,
-    /// tracks global spend).
-    pub instance: Instance,
-    /// Local photo index → global [`PhotoId`], strictly ascending. Local
-    /// photo order therefore equals global order, which preserves the
-    /// solver's smaller-id tie-break inside a shard.
-    pub photos: Vec<PhotoId>,
-    /// Local subset index → global [`SubsetId`] of the query this fragment
-    /// came from. A split query appears in several shards under the same
-    /// global id.
-    pub subsets: Vec<SubsetId>,
-}
-
-/// The labeling part of a component decomposition: which shard every photo
-/// belongs to, without the materialized per-shard sub-instances.
+/// A component decomposition as a labeling: which shard every photo
+/// belongs to.
 ///
 /// This is the state the epoch-delta layer ([`crate::delta`]) maintains
 /// incrementally: applying a delta re-labels only the *dirty* components and
@@ -111,50 +87,6 @@ impl ShardLabels {
             num_shards,
             singleton_pool,
         }
-    }
-}
-
-/// The full component decomposition of an instance: a true partition of the
-/// photos plus per-photo shard/local lookup tables.
-#[derive(Debug)]
-pub struct Decomposition {
-    /// The component sub-views, ordered by their smallest global photo id.
-    pub shards: Vec<ComponentView>,
-    /// The shard labeling (shared with the lighter [`shard_labels`] path).
-    labels: ShardLabels,
-    /// `photo_local[p]` = photo `p`'s local index within its shard.
-    photo_local: Vec<u32>,
-}
-
-impl Decomposition {
-    /// Number of shards (≥ 1 for any non-empty instance).
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard index of a global photo.
-    #[inline]
-    pub fn shard_of(&self, p: PhotoId) -> usize {
-        self.labels.shard_of(p)
-    }
-
-    /// The shard-local id of a global photo.
-    #[inline]
-    pub fn local_of(&self, p: PhotoId) -> PhotoId {
-        PhotoId(self.photo_local[p.index()])
-    }
-
-    /// The shard holding all merged single-photo components, if any.
-    #[inline]
-    pub fn singleton_pool(&self) -> Option<usize> {
-        self.labels.singleton_pool()
-    }
-
-    /// The shard labeling underlying this decomposition.
-    #[inline]
-    pub fn labels(&self) -> &ShardLabels {
-        &self.labels
     }
 }
 
@@ -226,14 +158,16 @@ pub(crate) fn union_interactions(inst: &Instance, dsu: &mut Dsu) {
     }
 }
 
-/// Computes the shard labeling of `inst` — the component partition plus the
-/// deterministic shard numbering — without materializing sub-instances.
+/// Computes the shard labeling of `inst`: the component partition plus the
+/// deterministic shard numbering.
 ///
 /// Numbering: components in first-seen order by ascending photo id, with all
 /// single-photo components collapsed onto one pool shard (when there are at
-/// least two of them). This is the cheap prefix of [`decompose`] and the
-/// ground truth the incremental relabeling in [`crate::delta`] must
-/// reproduce exactly.
+/// least two of them). The labeling is a true partition: every photo gets
+/// exactly one label, no stored similarity pair links two shards, and every
+/// dense or unit query lies inside one shard. It is the ground truth the
+/// incremental relabeling in [`crate::delta`] must reproduce exactly. Runs
+/// in `O(n + Σ_q E_q · α)` time.
 pub fn shard_labels(inst: &Instance) -> ShardLabels {
     let n = inst.num_photos();
     let mut dsu = Dsu::new(n);
@@ -276,243 +210,82 @@ pub fn shard_labels(inst: &Instance) -> ShardLabels {
     )
 }
 
-/// Computes the connected components of `inst`'s photo-interaction graph and
-/// materializes one [`ComponentView`] per component (singletons pooled).
-///
-/// The decomposition is a true partition: every photo lands in exactly one
-/// shard, every query fragment lies wholly inside one shard, the fragments
-/// of a query partition its members, and no stored similarity edge crosses
-/// shards. Runs in `O(n + Σ_q E_q · α)` time.
-pub fn decompose(inst: &Instance) -> Decomposition {
-    decompose_with_labels(inst, shard_labels(inst))
-}
-
-/// [`decompose`] with the labeling precomputed: materializes the per-shard
-/// sub-instances from `labels` without re-running the union-find. Callers
-/// hand in resident labels — the epoch-delta layer's incrementally
-/// maintained ones, or labels bulk-read from a `phocus-pack` file
-/// ([`crate::pack`]) — which must equal `shard_labels(inst)` (the pack
-/// writer derives them exactly so; the delta layer's are pinned equal by
-/// proptest).
-pub fn decompose_with_labels(inst: &Instance, labels: ShardLabels) -> Decomposition {
-    let n = inst.num_photos();
-    debug_assert_eq!(labels.photo_shards().len(), n);
-    let photo_shard = labels.photo_shards();
-    let num_shards = labels.num_shards();
-    let mut photo_local = vec![0u32; n];
-    let mut shard_globals: Vec<Vec<PhotoId>> = vec![Vec::new(); num_shards];
-    for p in 0..n {
-        let s = photo_shard[p] as usize;
-        // phocus-lint: allow(cast-bounds) — per-shard count ≤ n, and PhotoId is u32
-        photo_local[p] = shard_globals[s].len() as u32;
-        shard_globals[s].push(PhotoId(p as u32));
-    }
-
-    // Materialize per-shard photos and the projected required set. Iterating
-    // ascending global ids keeps both lists ascending in local ids.
-    let mut shard_photos: Vec<Vec<Photo>> = vec![Vec::new(); num_shards];
-    for (p, &s) in photo_shard.iter().enumerate() {
-        let photo = inst.photo(PhotoId(p as u32));
-        shard_photos[s as usize].push(Photo::new(
-            PhotoId(photo_local[p]),
-            photo.name.clone(),
-            photo.cost,
-        ));
-    }
-    let mut shard_required: Vec<Vec<PhotoId>> = vec![Vec::new(); num_shards];
-    for &r in inst.required() {
-        shard_required[photo_shard[r.index()] as usize].push(PhotoId(photo_local[r.index()]));
-    }
-
-    // Distribute queries, splitting cross-shard ones into fragments. Global
-    // subset order is preserved within each shard so the sub-instance
-    // membership lists keep the parent's ascending-subset iteration order —
-    // a prerequisite for bit-identical gain sums.
-    let mut shard_subsets: Vec<Vec<Subset>> = vec![Vec::new(); num_shards];
-    let mut shard_sims: Vec<Vec<Arc<ContextSim>>> = vec![Vec::new(); num_shards];
-    let mut shard_subset_globals: Vec<Vec<SubsetId>> = vec![Vec::new(); num_shards];
-    let mut push_fragment =
-        |s: usize, subset: Subset, store: Arc<ContextSim>, global: SubsetId| {
-            let mut subset = subset;
-            // phocus-lint: allow(cast-bounds) — per-shard subset count ≤ m, and SubsetId is u32
-            subset.id = SubsetId(shard_subsets[s].len() as u32);
-            shard_subsets[s].push(subset);
-            shard_sims[s].push(store);
-            shard_subset_globals[s].push(global);
-        };
-    for q in inst.subsets() {
-        let first = photo_shard[q.members[0].index()];
-        if q.members.iter().all(|&m| photo_shard[m.index()] == first) {
-            // Whole query in one shard: remap members, share the store.
-            let members = q.members.iter().map(|&m| PhotoId(photo_local[m.index()])).collect();
-            push_fragment(
-                first as usize,
-                Subset {
-                    id: q.id, // overwritten with the local id
-                    label: q.label.clone(),
-                    weight: q.weight,
-                    members,
-                    relevance: q.relevance.clone(),
-                },
-                Arc::clone(inst.sim_arc(q.id)),
-                q.id,
-            );
-            continue;
-        }
-        // Cross-shard query: group member positions by shard in first-
-        // appearance order. Only sparse stores can split — dense and unit
-        // queries were clique-unioned above.
-        let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
-        for (pos, &m) in q.members.iter().enumerate() {
-            let s = photo_shard[m.index()];
-            match groups.iter_mut().find(|(gs, _)| *gs == s) {
-                Some((_, positions)) => positions.push(pos as u32),
-                None => groups.push((s, vec![pos as u32])),
-            }
-        }
-        let Some(sp) = inst.sim(q.id).as_sparse() else {
-            unreachable!("only sparse-similarity queries can span shards")
-        };
-        for (s, positions) in groups {
-            let members = positions
-                .iter()
-                .map(|&pos| PhotoId(photo_local[q.members[pos as usize].index()]))
-                .collect();
-            let relevance = positions.iter().map(|&pos| q.relevance[pos as usize]).collect();
-            push_fragment(
-                s as usize,
-                Subset {
-                    id: q.id,
-                    label: q.label.clone(),
-                    weight: q.weight,
-                    members,
-                    relevance,
-                },
-                Arc::new(ContextSim::Sparse(sp.restrict(&positions))),
-                q.id,
-            );
-        }
-    }
-
-    let shards = shard_photos
-        .into_iter()
-        .zip(shard_required)
-        .zip(shard_subsets.into_iter().zip(shard_sims))
-        .zip(shard_globals.into_iter().zip(shard_subset_globals))
-        .map(|(((photos, required), (subsets, sims)), (globals, subset_globals))| {
-            ComponentView {
-                instance: Instance::assemble(photos, required, subsets, inst.budget(), sims),
-                photos: globals,
-                subsets: subset_globals,
-            }
-        })
-        .collect();
-
-    Decomposition {
-        shards,
-        labels,
-        photo_local,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::{figure1_instance, random_instance, RandomInstanceConfig, MB};
-    use crate::Evaluator;
 
-    /// Checks the structural partition invariants on any decomposition.
-    fn assert_partition(inst: &Instance, dec: &Decomposition) {
-        let mut seen = vec![false; inst.num_photos()];
-        for (s, view) in dec.shards.iter().enumerate() {
-            assert!(view.photos.windows(2).all(|w| w[0] < w[1]));
-            for (local, &g) in view.photos.iter().enumerate() {
-                assert!(!seen[g.index()], "photo {g:?} in two shards");
-                seen[g.index()] = true;
-                assert_eq!(dec.shard_of(g), s);
-                assert_eq!(dec.local_of(g), PhotoId(local as u32));
-                let sub = view.instance.photo(PhotoId(local as u32));
-                assert_eq!(sub.cost, inst.cost(g));
-            }
+    /// Checks the partition invariants of `shard_labels(inst)` and returns
+    /// the labels.
+    fn assert_partition(inst: &Instance) -> ShardLabels {
+        let labels = shard_labels(inst);
+        let n = inst.num_photos();
+        assert_eq!(labels.photo_shards().len(), n);
+        // Labels run 0..num_shards in first-seen order by photo id.
+        let mut next = 0u32;
+        for &s in labels.photo_shards() {
+            assert!(s <= next, "label {s} appears before label {next}");
+            next = next.max(s + 1);
         }
-        assert!(seen.iter().all(|&b| b), "photo missing from all shards");
-
-        // Fragments of each query partition its members, bit-exact metadata.
-        let mut covered: Vec<Vec<bool>> = inst
-            .subsets()
-            .iter()
-            .map(|q| vec![false; q.members.len()])
-            .collect();
-        for view in &dec.shards {
-            for (lq, &gq) in view.subsets.iter().enumerate() {
-                let frag = view.instance.subset(SubsetId(lq as u32));
-                let parent = inst.subset(gq);
-                assert_eq!(frag.weight.to_bits(), parent.weight.to_bits());
-                for (k, &lm) in frag.members.iter().enumerate() {
-                    let g = view.photos[lm.index()];
-                    let pos = parent.members.iter().position(|&m| m == g).unwrap();
-                    assert!(!covered[gq.index()][pos]);
-                    covered[gq.index()][pos] = true;
-                    assert_eq!(
-                        frag.relevance[k].to_bits(),
-                        parent.relevance[pos].to_bits()
+        assert_eq!(next as usize, labels.num_shards());
+        // No stored pair crosses shards; dense and unit queries are whole.
+        let mut has_edge = vec![false; n];
+        for q in inst.subsets() {
+            match inst.sim(q.id) {
+                ContextSim::Sparse(sp) => {
+                    for (pos, &m) in q.members.iter().enumerate() {
+                        for &j in sp.neighbors(pos).0 {
+                            let other = q.members[j as usize];
+                            assert_eq!(labels.shard_of(other), labels.shard_of(m));
+                            has_edge[m.index()] = true;
+                            has_edge[other.index()] = true;
+                        }
+                    }
+                }
+                _ => {
+                    let s = labels.shard_of(q.members[0]);
+                    assert!(
+                        q.members.iter().all(|&m| labels.shard_of(m) == s),
+                        "dense query split"
                     );
+                    if q.members.len() > 1 {
+                        q.members.iter().for_each(|&m| has_edge[m.index()] = true);
+                    }
                 }
             }
         }
-        assert!(covered.iter().flatten().all(|&b| b), "member lost in split");
+        // With two or more edgeless photos, the pool holds exactly those.
+        let edgeless: Vec<usize> = (0..n).filter(|&p| !has_edge[p]).collect();
+        match labels.singleton_pool() {
+            Some(pool) => {
+                assert!(edgeless.len() >= 2);
+                let pooled: Vec<usize> = (0..n)
+                    .filter(|&p| labels.photo_shards()[p] as usize == pool)
+                    .collect();
+                assert_eq!(pooled, edgeless);
+            }
+            None => assert!(edgeless.len() < 2),
+        }
+        labels
     }
 
     #[test]
     fn figure1_decomposes_to_valid_partition() {
-        let inst = figure1_instance(4 * MB);
-        let dec = decompose(&inst);
-        assert_partition(&inst, &dec);
-        assert!(dec.num_shards() >= 1);
+        let labels = assert_partition(&figure1_instance(4 * MB));
+        assert!(labels.num_shards() >= 1);
     }
 
     #[test]
     fn dense_random_instance_partition() {
         let inst = random_instance(0xC0FFEE, &RandomInstanceConfig::default());
-        let dec = decompose(&inst);
-        assert_partition(&inst, &dec);
-    }
-
-    #[test]
-    fn sparsified_instance_splits_and_scores_match() {
-        let inst =
-            random_instance(0xC0FFEE, &RandomInstanceConfig::default()).sparsify(0.8);
-        let dec = decompose(&inst);
-        assert_partition(&inst, &dec);
-        // Per-shard scores of "select everything" must sum to the global
-        // all-selected score: the decomposition loses no objective mass.
-        let mut ev = Evaluator::new(&inst);
-        for p in 0..inst.num_photos() as u32 {
-            ev.add(PhotoId(p));
-        }
-        let mut sharded = 0.0;
-        for view in &dec.shards {
-            let mut sev = Evaluator::new(&view.instance);
-            for p in 0..view.instance.num_photos() as u32 {
-                sev.add(PhotoId(p));
-            }
-            sharded += sev.score();
-        }
-        assert!((sharded - ev.score()).abs() < 1e-9 * ev.score().abs().max(1.0));
+        assert_partition(&inst);
+        assert_partition(&inst.sparsify(0.8));
     }
 
     #[test]
     fn unit_queries_are_clique_unioned() {
         let inst = random_instance(7, &RandomInstanceConfig::default()).with_unit_sims();
-        let dec = decompose(&inst);
-        assert_partition(&inst, &dec);
-        for view in &dec.shards {
-            for (lq, _) in view.subsets.iter().enumerate() {
-                let frag = view.instance.subset(SubsetId(lq as u32));
-                let parent_len = inst.subset(view.subsets[lq]).members.len();
-                assert_eq!(frag.members.len(), parent_len, "unit query was split");
-            }
-        }
+        assert_partition(&inst);
     }
 
     #[test]
@@ -524,9 +297,8 @@ mod tests {
             b.add_subset(format!("q{k}"), 1.0, vec![p], vec![]);
         }
         let inst = b.build_with_provider(&crate::UnitSimilarity).unwrap();
-        let dec = decompose(&inst);
-        assert_eq!(dec.num_shards(), 1);
-        assert_eq!(dec.singleton_pool(), Some(0));
-        assert_partition(&inst, &dec);
+        let labels = assert_partition(&inst);
+        assert_eq!(labels.num_shards(), 1);
+        assert_eq!(labels.singleton_pool(), Some(0));
     }
 }

@@ -78,15 +78,15 @@ pub mod solution;
 pub mod stats;
 pub mod subset;
 
-pub use components::{
-    decompose, decompose_with_labels, shard_labels, ComponentView, Decomposition, ShardLabels,
-};
+pub use components::{shard_labels, ShardLabels};
 pub use delta::{apply_delta, AppliedDelta, EpochDelta, MemberRef, PhotoAdd, QueryAdd};
 pub use error::{ModelError, Result};
 pub use ids::{PhotoId, SubsetId};
 pub use instance::{Instance, InstanceBuilder, Membership};
 pub use objective::{exact_score, exact_subset_score, EvalArena, EvalLayout, EvalStats, Evaluator};
-pub use pack::{fnv1a64, pack_instance, unpack_instance, PackError, PackedInstance};
+pub use pack::{
+    fnv1a64, pack_instance, unpack_instance, unpack_instance_checked, PackError, PackedInstance,
+};
 pub use photo::Photo;
 pub use sim::{ContextSim, DenseSim, FnSimilarity, SimilarityProvider, SparseSim, UnitSimilarity};
 pub use solution::{CoverageStats, Solution};

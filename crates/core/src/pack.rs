@@ -20,6 +20,13 @@
 //!   work is integrity checking of the container itself (monotone offsets,
 //!   in-range indices, UTF-8 names), which keeps a corrupted file a typed
 //!   [`PackError`] instead of a later panic.
+//! * [`unpack_instance_checked`] is the same reader for a caller that also
+//!   knows the whole file's [`fnv1a64`] (the catalog index records it). It
+//!   makes one pass over the bytes for both checks: the whole-file chain
+//!   covers the header and table, then runs beside each section's own
+//!   chain in the same loop. A whole-file mismatch is
+//!   [`PackError::FileChecksum`] and takes precedence over every other
+//!   error, as when the file was hashed in full before being read.
 //!
 //! # File layout (all integers little-endian)
 //!
@@ -97,15 +104,39 @@ const ALL_KINDS: [u32; 9] = [
     kind::LABELS,
 ];
 
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a, 64-bit: the dependency-free per-section checksum (same algorithm
 /// the determinism suite uses for transcript hashing).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a chain `h` over `bytes`: `fnv1a64(a ++ b)` equals
+/// `fnv1a64_extend(fnv1a64(a), b)`.
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Continues the whole-file chain `file` over one section payload and, in
+/// the same loop, hashes the payload on its own. Returns `(file, section)`.
+/// The two multiply chains do not depend on each other, so the CPU overlaps
+/// them and the pair costs about as much as one [`fnv1a64`] pass.
+// phocus-lint: hot-kernel — the pack load path's only per-byte loop
+fn fnv1a64_pair(mut file: u64, bytes: &[u8]) -> (u64, u64) {
+    let mut section = FNV_OFFSET;
+    for &b in bytes {
+        file = (file ^ b as u64).wrapping_mul(FNV_PRIME);
+        section = (section ^ b as u64).wrapping_mul(FNV_PRIME);
+    }
+    (file, section)
 }
 
 /// Why a pack file failed to load. Every variant is a *typed* refusal — the
@@ -158,6 +189,10 @@ pub enum PackError {
         /// The failing section's [`kind`].
         kind: u32,
     },
+    /// The whole image does not hash to the checksum the caller expected
+    /// (see [`unpack_instance_checked`]). Takes precedence over every other
+    /// error: the file is not the one the caller recorded.
+    FileChecksum,
     /// An element count inside a section exceeds what its remaining bytes
     /// can hold — the allocation cap that keeps byte soup from OOMing.
     TooLarge {
@@ -204,6 +239,9 @@ impl fmt::Display for PackError {
             }
             PackError::Checksum { kind } => {
                 write!(f, "section kind {kind} failed its checksum")
+            }
+            PackError::FileChecksum => {
+                write!(f, "pack does not match its expected whole-file checksum")
             }
             PackError::TooLarge { kind } => {
                 write!(f, "section kind {kind} declares more elements than it holds")
@@ -658,6 +696,51 @@ struct Meta {
 /// [`pack_instance`], returning the reconstructed instance plus the
 /// persisted evaluator layout and shard labels.
 pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
+    decode(read_table(bytes, None)?)
+}
+
+/// [`unpack_instance`] for an image whose whole-file [`fnv1a64`] is already
+/// known, as a catalog index records it: the whole-file hash rides along in
+/// the pass that verifies the section checksums, so every byte is hashed
+/// once and both checks still run.
+///
+/// A whole-file mismatch is [`PackError::FileChecksum`], and it wins over
+/// every other error. When the table walk stops early, the bytes it did not
+/// reach are hashed before the error is chosen, so a file that is not the
+/// recorded one is reported as such however it is damaged.
+pub fn unpack_instance_checked(
+    bytes: &[u8],
+    file_checksum: u64,
+) -> Result<PackedInstance, PackError> {
+    let mut file = FileHash {
+        h: FNV_OFFSET,
+        upto: 0,
+    };
+    let sections = read_table(bytes, Some(&mut file));
+    if fnv1a64_extend(file.h, &bytes[file.upto..]) != file_checksum {
+        return Err(PackError::FileChecksum);
+    }
+    decode(sections?)
+}
+
+/// A whole-file FNV-1a chain in progress: `h` covers `bytes[..upto]`.
+struct FileHash {
+    h: u64,
+    upto: usize,
+}
+
+/// Section payloads by kind, as the table walk found them.
+type Sections<'a> = [Option<&'a [u8]>; 16];
+
+/// Validates the header and walks the section table: bounds, order,
+/// duplicates and one checksum per section. With `file` set, also carries
+/// the whole-file chain: header and table first, then each payload in the
+/// same loop as its section hash. Payloads must sit back to back in table
+/// order, so when the walk succeeds the chain has covered every byte.
+fn read_table<'a>(
+    bytes: &'a [u8],
+    mut file: Option<&mut FileHash>,
+) -> Result<Sections<'a>, PackError> {
     // --- header ---
     if bytes.len() < HEADER {
         return Err(PackError::Truncated { need: HEADER, have: bytes.len() });
@@ -677,9 +760,13 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
     if bytes.len() < table_end {
         return Err(PackError::Truncated { need: table_end, have: bytes.len() });
     }
+    if let Some(f) = file.as_deref_mut() {
+        f.h = fnv1a64_extend(f.h, &bytes[..table_end]);
+        f.upto = table_end;
+    }
 
     // --- section table: O(1) per-kind lookup, bounds, overlap, checksums ---
-    let mut by_kind: [Option<&[u8]>; 16] = [None; 16];
+    let mut by_kind: Sections<'a> = [None; 16];
     let mut prev_end = table_end as u64;
     for i in 0..count as usize {
         let e = &bytes[HEADER + i * TABLE_ENTRY..HEADER + (i + 1) * TABLE_ENTRY];
@@ -708,7 +795,18 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
         // phocus-lint: allow(cast-bounds) — offset ≤ end ≤ bytes.len() was
         // just checked, and a slice length always fits usize.
         let payload = &bytes[offset as usize..end as usize];
-        if fnv1a64(payload) != sum {
+        // The payload starts where the previous one ended, so it extends the
+        // whole-file chain exactly.
+        let found = match file.as_deref_mut() {
+            Some(f) => {
+                let (h, section) = fnv1a64_pair(f.h, payload);
+                f.h = h;
+                f.upto += payload.len();
+                section
+            }
+            None => fnv1a64(payload),
+        };
+        if found != sum {
             return Err(PackError::Checksum { kind: k });
         }
         *slot = Some(payload);
@@ -722,10 +820,18 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
             have: bytes.len(),
         });
     }
-    let section = |k: u32| by_kind[k as usize].ok_or(PackError::MissingSection { kind: k });
     for k in ALL_KINDS {
-        section(k)?;
+        if by_kind[k as usize].is_none() {
+            return Err(PackError::MissingSection { kind: k });
+        }
     }
+    Ok(by_kind)
+}
+
+/// Decodes the sections of a walked table into the instance, its evaluator
+/// layout and its shard labels.
+fn decode(by_kind: Sections<'_>) -> Result<PackedInstance, PackError> {
+    let section = |k: u32| by_kind[k as usize].ok_or(PackError::MissingSection { kind: k });
 
     // --- META ---
     let meta = {
@@ -963,6 +1069,122 @@ mod tests {
     use super::*;
     use crate::fixtures::{figure1_instance, random_instance, RandomInstanceConfig, MB};
     use crate::{exact_score, Evaluator};
+    use proptest::prelude::*;
+
+    /// SplitMix64: one generated seed drives a whole byte string.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A v1 header and table around one payload per mandatory kind, each
+    /// table checksum set to `fnv1a64` of its payload.
+    fn container(sections: &[&[u8]]) -> Vec<u8> {
+        let mut out = W { buf: Vec::new() };
+        out.buf.extend_from_slice(&MAGIC);
+        out.u32(VERSION);
+        out.u32(sections.len() as u32);
+        let mut offset = (HEADER + sections.len() * TABLE_ENTRY) as u64;
+        for (&k, payload) in ALL_KINDS.iter().zip(sections) {
+            out.u32(k);
+            out.u32(0);
+            out.u64(offset);
+            out.u64(payload.len() as u64);
+            out.u64(fnv1a64(payload));
+            offset += payload.len() as u64;
+        }
+        for payload in sections {
+            out.buf.extend_from_slice(payload);
+        }
+        out.buf
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fused walk hashes each byte once into two chains. Its
+        /// whole-file chain must equal `fnv1a64` of the whole input and
+        /// each section chain `fnv1a64` of that section, for any bytes and
+        /// any split (empty sections included).
+        #[test]
+        fn fused_hashes_equal_separate_passes(seed in any::<u64>(), len in 0usize..3000, pieces in 1usize..24) {
+            let mut s = seed;
+            let body: Vec<u8> = (0..len).map(|_| splitmix(&mut s) as u8).collect();
+            let split = |s: &mut u64, count: usize| {
+                let mut cuts: Vec<usize> =
+                    (1..count).map(|_| (splitmix(s) % (len as u64 + 1)) as usize).collect();
+                cuts.push(0);
+                cuts.push(len);
+                cuts.sort_unstable();
+                cuts
+            };
+
+            // The pair kernel over a random number of sections.
+            let cuts = split(&mut s, pieces);
+            let mut file = FNV_OFFSET;
+            for w in cuts.windows(2) {
+                let (h, section) = fnv1a64_pair(file, &body[w[0]..w[1]]);
+                prop_assert_eq!(section, fnv1a64(&body[w[0]..w[1]]));
+                file = h;
+            }
+            prop_assert_eq!(file, fnv1a64(&body));
+
+            // The table walk over the same bytes cut into the nine v1
+            // sections: every section checksum matches, and the chain
+            // covers the whole image.
+            let cuts = split(&mut s, ALL_KINDS.len());
+            let sections: Vec<&[u8]> = cuts.windows(2).map(|w| &body[w[0]..w[1]]).collect();
+            let image = container(&sections);
+            let mut file = FileHash { h: FNV_OFFSET, upto: 0 };
+            let walked = read_table(&image, Some(&mut file));
+            prop_assert!(walked.is_ok(), "{:?}", walked.err());
+            prop_assert_eq!(file.upto, image.len());
+            prop_assert_eq!(file.h, fnv1a64(&image));
+        }
+    }
+
+    #[test]
+    fn checked_load_gives_the_whole_file_mismatch_precedence() {
+        let inst = figure1_instance(4 * MB);
+        let good = pack_instance(&inst).expect("packable");
+        let sum = fnv1a64(&good);
+        let loaded = unpack_instance_checked(&good, sum).expect("matching image loads");
+        assert_eq!(loaded.instance.photos(), inst.photos());
+        assert_eq!(
+            unpack_instance_checked(&good, sum ^ 1).unwrap_err(),
+            PackError::FileChecksum
+        );
+        // A damaged file that is not the recorded one reports the mismatch,
+        // not whatever stopped the walk.
+        for cut in [0, 5, HEADER, HEADER + TABLE_ENTRY + 3, good.len() - 1] {
+            assert_eq!(
+                unpack_instance_checked(&good[..cut], sum).unwrap_err(),
+                PackError::FileChecksum,
+                "cut at {cut}"
+            );
+        }
+        let mut flipped = good.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x01;
+        assert_eq!(
+            unpack_instance_checked(&flipped, sum).unwrap_err(),
+            PackError::FileChecksum
+        );
+        // Recorded over the damaged bytes, the section checksum still runs.
+        assert_eq!(
+            unpack_instance_checked(&flipped, fnv1a64(&flipped)).unwrap_err(),
+            PackError::Checksum { kind: kind::LABELS }
+        );
+        let mut magic = good.clone();
+        magic[0] = b'X';
+        assert_eq!(
+            unpack_instance_checked(&magic, fnv1a64(&magic)).unwrap_err(),
+            PackError::BadMagic
+        );
+    }
 
     fn fixtures() -> Vec<Instance> {
         let mut v = vec![figure1_instance(4 * MB)];

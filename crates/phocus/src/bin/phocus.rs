@@ -216,6 +216,22 @@ fn parse<T: std::str::FromStr>(rest: &[String], name: &str, default: T) -> Resul
     }
 }
 
+/// Reads `--budget-mb` (megabytes of 10⁶ bytes) as a byte budget. A
+/// negative, NaN or infinite value, or one whose byte count does not fit a
+/// `u64`, is a usage error naming the flag; zero is valid.
+fn budget_bytes(rest: &[String], default_mb: f64) -> Result<u64, CliError> {
+    let mb: f64 = parse(rest, "--budget-mb", default_mb)?;
+    let bytes = mb * 1e6;
+    // `u64::MAX as f64` rounds up to 2⁶⁴, so the half-open range admits
+    // only values the cast below cannot saturate; NaN is in no range.
+    if !(0.0..u64::MAX as f64).contains(&bytes) {
+        return Err(CliError::usage(format!(
+            "--budget-mb must be a finite, non-negative number of megabytes that fits u64 bytes, got {mb}"
+        )));
+    }
+    Ok(bytes as u64)
+}
+
 fn read_file(path: &str) -> Result<String, PhocusError> {
     std::fs::read_to_string(path).map_err(|e| PhocusError::Io {
         path: path.to_string(),
@@ -365,11 +381,10 @@ fn cmd_table2(rest: &[String]) -> Result<(), CliError> {
 
 fn cmd_solve(rest: &[String]) -> Result<(), CliError> {
     let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 10.0)?;
+    let budget = budget_bytes(rest, 10.0)?;
     let tau: f64 = parse(rest, "--tau", 0.6)?;
     let seed: u64 = parse(rest, "--seed", 42)?;
     let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
-    let budget = (budget_mb * 1e6) as u64;
 
     let representation = if flag(rest, "--ns") {
         RepresentationConfig::phocus_ns()
@@ -422,7 +437,7 @@ fn cmd_compress(rest: &[String]) -> Result<(), CliError> {
 
 fn run_compress(rest: &[String]) -> Result<(), CliError> {
     let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 2.0)?;
+    let budget = budget_bytes(rest, 2.0)?;
     let seed: u64 = parse(rest, "--seed", 42)?;
     let ladder = match opt(rest, "--ladder") {
         None => ActionLadder::standard(),
@@ -430,7 +445,6 @@ fn run_compress(rest: &[String]) -> Result<(), CliError> {
     };
     let sharding = !flag(rest, "--no-sharding");
     let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
-    let budget = (budget_mb * 1e6) as u64;
     let cfg = RepresentationConfig::default();
     let rungs: Vec<String> = ladder
         .levels()
@@ -569,7 +583,7 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
         CliError::usage("missing --list (file of tenant universe paths, `-` for stdin)")
     })?;
     let budget_frac: f64 = parse(rest, "--budget-frac", 0.25)?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 0.0)?;
+    let fixed_budget = budget_bytes(rest, 0.0)?;
     let threads: usize = parse(rest, "--threads", 0)?;
     let out_dir = opt(rest, "--out-dir");
     if !(0.0..=1.0).contains(&budget_frac) || budget_frac.is_nan() {
@@ -594,8 +608,8 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
     for path in &paths {
         let tenant = read_file(path).and_then(|text| {
             let universe = par_datasets::from_text(&text).map_err(PhocusError::Dataset)?;
-            let budget = if budget_mb > 0.0 {
-                (budget_mb * 1e6) as u64
+            let budget = if fixed_budget > 0 {
+                fixed_budget
             } else {
                 ((universe.total_cost() as f64 * budget_frac) as u64).max(1)
             };
@@ -795,11 +809,11 @@ fn cmd_pack(rest: &[String]) -> Result<(), CliError> {
     }
     let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
     let out = opt(rest, "--out").ok_or_else(|| CliError::usage("missing --out"))?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 10.0)?;
+    let budget = budget_bytes(rest, 10.0)?;
     let seed: u64 = parse(rest, "--seed", 42)?;
     let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
     let representation = repr_from_flags(rest)?;
-    let inst = phocus::represent(&universe, (budget_mb * 1e6) as u64, &representation)?;
+    let inst = phocus::represent(&universe, budget, &representation)?;
     let bytes = par_core::pack_instance(&inst).map_err(PhocusError::from)?;
     write_bytes(&out, &bytes)?;
     println!(
@@ -832,7 +846,7 @@ fn cmd_catalog_build(rest: &[String]) -> Result<(), CliError> {
     let out_dir =
         opt(rest, "--out-dir").ok_or_else(|| CliError::usage("missing --out-dir"))?;
     let budget_frac: f64 = parse(rest, "--budget-frac", 0.25)?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 0.0)?;
+    let fixed_budget = budget_bytes(rest, 0.0)?;
     if !(0.0..=1.0).contains(&budget_frac) || budget_frac.is_nan() {
         return Err(CliError::usage(format!(
             "--budget-frac must be in [0, 1], got {budget_frac}"
@@ -846,8 +860,8 @@ fn cmd_catalog_build(rest: &[String]) -> Result<(), CliError> {
         let text = read_file(path)?;
         let universe = par_datasets::from_text(&text)
             .map_err(|e| CliError::Pipeline(PhocusError::Dataset(e)))?;
-        let budget = if budget_mb > 0.0 {
-            (budget_mb * 1e6) as u64
+        let budget = if fixed_budget > 0 {
+            fixed_budget
         } else {
             ((universe.total_cost() as f64 * budget_frac) as u64).max(1)
         };
@@ -901,7 +915,7 @@ fn cmd_catalog_ls(rest: &[String]) -> Result<(), CliError> {
 /// the run exits 5 if any epoch failed, mirroring `serve-batch`.
 fn cmd_epochs(rest: &[String]) -> Result<(), CliError> {
     let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 10.0)?;
+    let budget = budget_bytes(rest, 10.0)?;
     let seed: u64 = parse(rest, "--seed", 42)?;
     let epochs_n: usize = parse(rest, "--epochs", 8)?;
     let churn: f64 = parse(rest, "--churn", 0.01)?;
@@ -914,7 +928,6 @@ fn cmd_epochs(rest: &[String]) -> Result<(), CliError> {
     }
 
     let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
-    let budget = (budget_mb * 1e6) as u64;
     let representation = repr_from_flags(rest)?;
     let inst = phocus::represent(&universe, budget, &representation)?;
 
@@ -1031,11 +1044,10 @@ fn run_epochs(
 
 fn cmd_suite(rest: &[String]) -> Result<(), CliError> {
     let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 10.0)?;
+    let budget = budget_bytes(rest, 10.0)?;
     let tau: f64 = parse(rest, "--tau", 0.6)?;
     let seed: u64 = parse(rest, "--seed", 42)?;
     let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
-    let budget = (budget_mb * 1e6) as u64;
     let cfg = SuiteConfig {
         tau,
         rand_seed: seed,

@@ -5,8 +5,9 @@
 //! photo-store throughput — so the catalog keeps its entire index (tenant
 //! name → pack path, content checksum, artifact paths) resident in memory
 //! after one read of `catalog.idx`. Serving a tenant then costs exactly one
-//! file read plus a checksummed [`par_core::unpack_instance`] bulk load; no
-//! directory walks, no text parsing, no representation pipeline.
+//! file read plus one checksummed [`par_core::unpack_instance_checked`]
+//! bulk load; no directory walks, no text parsing, no representation
+//! pipeline.
 //!
 //! # Directory layout
 //!
@@ -28,20 +29,33 @@
 //! ```
 //!
 //! One line per tenant, sorted by tenant name (strictly ascending — the
-//! builder rejects duplicates), so lookups are a binary search over the
-//! resident entries and the index bytes are a deterministic function of its
-//! contents. Checksums are [`par_core::fnv1a64`] over the whole referenced
-//! file; [`Catalog::load`] re-hashes the pack bytes before handing them to
-//! the pack reader, so a stale or corrupted pack is a typed
-//! [`PhocusError::Catalog`] / [`PhocusError::Pack`](crate::PhocusError),
-//! never a wrong answer.
+//! builder rejects duplicates, and names containing a tab or a line break),
+//! so lookups are a binary search over the resident entries and the index
+//! bytes are a deterministic function of its contents.
+//! [`CatalogBuilder::finish`] writes the index to a temporary file, syncs
+//! it and renames it into place, so a crash leaves the old index or the new
+//! one, never a torn one.
+//!
+//! Checksums are [`par_core::fnv1a64`] over the whole referenced file.
+//! [`Catalog::load`] hands the indexed checksum to the pack reader, which
+//! checks it in the same pass over the bytes that verifies every section
+//! checksum: each byte is hashed once, and both checks run. A pack that is
+//! not the indexed file is a [`PhocusError::Catalog`], which takes
+//! precedence over anything the pack reader would report; a pack that
+//! matches its index but is damaged inside is a
+//! [`PhocusError::Pack`](crate::PhocusError). Either way it is a typed
+//! error, never a wrong answer.
 
 use crate::error::{PhocusError, Result};
-use par_core::{fnv1a64, unpack_instance, PackedInstance};
+use par_core::{fnv1a64, unpack_instance_checked, PackError, PackedInstance};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// File name of the catalog index inside the catalog directory.
 pub const INDEX_FILE: &str = "catalog.idx";
+/// Where [`CatalogBuilder::finish`] writes the index before renaming it
+/// over [`INDEX_FILE`].
+const INDEX_TMP: &str = "catalog.idx.tmp";
 /// First line of a v1 index.
 const HEADER: &str = "# phocus-catalog v1";
 
@@ -179,20 +193,20 @@ impl Catalog {
             .map(|i| &self.entries[i])
     }
 
-    /// Loads one tenant's instance from its pack: one file read, one
-    /// whole-file checksum, one section-table bulk load. Returns the
-    /// reconstructed instance with its persisted evaluator layout and shard
-    /// labels.
+    /// Loads one tenant's instance from its pack: one file read, then one
+    /// pass over the bytes that checks the whole-file checksum and every
+    /// section checksum before the bulk load. Returns the reconstructed
+    /// instance with its persisted evaluator layout and shard labels.
     pub fn load(&self, entry: &CatalogEntry) -> Result<PackedInstance> {
         let path = self.root.join(&entry.pack);
         let bytes = std::fs::read(&path).map_err(|e| io_err(&path, &e))?;
-        if fnv1a64(&bytes) != entry.checksum {
-            return Err(PhocusError::Catalog {
+        unpack_instance_checked(&bytes, entry.checksum).map_err(|e| match e {
+            PackError::FileChecksum => PhocusError::Catalog {
                 entry: entry.name.clone(),
                 message: format!("pack {} does not match its indexed checksum", entry.pack),
-            });
-        }
-        Ok(unpack_instance(&bytes)?)
+            },
+            e => PhocusError::Pack(e),
+        })
     }
 
     /// [`load`](Self::load) by tenant name.
@@ -228,7 +242,17 @@ impl CatalogBuilder {
     /// Writes `bytes` (a `phocus-pack` image from
     /// [`par_core::pack_instance`]) as the next pack file and records its
     /// entry. `photos` and `budget` become resident metadata.
+    ///
+    /// A name containing a tab, a carriage return or a line feed is
+    /// rejected: the index is tab-separated, one line per tenant, so such a
+    /// name would write an index that [`Catalog::open`] cannot read back.
     pub fn add_pack(&mut self, name: &str, bytes: &[u8], photos: u64, budget: u64) -> Result<()> {
+        if name.contains(['\t', '\n', '\r']) {
+            return Err(PhocusError::Catalog {
+                entry: name.escape_debug().to_string(),
+                message: "tenant name contains a tab or line break".into(),
+            });
+        }
         let file = format!("pk{:05}.pack", self.entries.len());
         let path = self.root.join(&file);
         std::fs::write(&path, bytes).map_err(|e| io_err(&path, &e))?;
@@ -259,6 +283,11 @@ impl CatalogBuilder {
 
     /// Sorts the entries by tenant name, rejects duplicates, writes
     /// `catalog.idx`, and returns the resident catalog.
+    ///
+    /// The index goes to `catalog.idx.tmp` first, is synced to disk, and is
+    /// then renamed over `catalog.idx` (and the directory synced), so a
+    /// crash at any point leaves either the previous index or the complete
+    /// new one.
     pub fn finish(mut self) -> Result<Catalog> {
         self.entries.sort_by(|a, b| a.name.cmp(&b.name));
         for w in self.entries.windows(2) {
@@ -281,8 +310,20 @@ impl CatalogBuilder {
                 e.name, e.pack, e.checksum, e.photos, e.budget, afile, asum
             ));
         }
+        let tmp = self.root.join(INDEX_TMP);
+        let write = || -> std::io::Result<()> {
+            let mut f = std::fs::File::create(&tmp)?;
+            f.write_all(text.as_bytes())?;
+            f.sync_all()
+        };
+        write().map_err(|e| io_err(&tmp, &e))?;
         let index = self.root.join(INDEX_FILE);
-        std::fs::write(&index, text).map_err(|e| io_err(&index, &e))?;
+        std::fs::rename(&tmp, &index).map_err(|e| io_err(&index, &e))?;
+        // The rename is durable only once the directory entry is on disk.
+        #[cfg(unix)]
+        std::fs::File::open(&self.root)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| io_err(&self.root, &e))?;
         Ok(Catalog {
             root: self.root,
             entries: self.entries,
@@ -293,7 +334,7 @@ impl CatalogBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use par_core::fixtures::{figure1_instance, MB};
+    use par_core::fixtures::{figure1_instance, random_instance, RandomInstanceConfig, MB};
     use par_core::pack_instance;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -338,6 +379,107 @@ mod tests {
         std::fs::write(dir.join(&cat.entries()[0].pack), b"garbage").unwrap();
         let err = cat.load_by_name("t").unwrap_err();
         assert!(matches!(err, PhocusError::Catalog { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pack_swapped_for_another_tenants_is_a_catalog_error() {
+        // Both packs are valid images, so only the whole-file checksum can
+        // tell that `a`'s file now holds `b`'s instance.
+        let dir = tmpdir("swapped");
+        let a = figure1_instance(4 * MB);
+        let b_inst = random_instance(3, &RandomInstanceConfig::default());
+        let mut b = CatalogBuilder::create(&dir).unwrap();
+        b.add_pack("a", &pack_instance(&a).unwrap(), 7, a.budget())
+            .unwrap();
+        b.add_pack("b", &pack_instance(&b_inst).unwrap(), 40, b_inst.budget())
+            .unwrap();
+        let cat = b.finish().unwrap();
+        std::fs::copy(
+            dir.join(&cat.entries()[1].pack),
+            dir.join(&cat.entries()[0].pack),
+        )
+        .unwrap();
+        let err = cat.load_by_name("a").unwrap_err();
+        assert!(matches!(err, PhocusError::Catalog { .. }), "{err}");
+        assert!(
+            err.to_string()
+                .contains("does not match its indexed checksum"),
+            "{err}"
+        );
+        assert!(cat.load_by_name("b").is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn indexed_pack_with_a_flipped_payload_byte_fails_its_section_checksum() {
+        // The index is built over the damaged bytes, so the whole-file
+        // check passes and the section check must catch the flip.
+        let dir = tmpdir("flipped");
+        let inst = figure1_instance(4 * MB);
+        let mut bytes = pack_instance(&inst).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        let mut b = CatalogBuilder::create(&dir).unwrap();
+        b.add_pack("t", &bytes, 7, inst.budget()).unwrap();
+        let cat = b.finish().unwrap();
+        let err = cat.load_by_name("t").unwrap_err();
+        assert!(
+            matches!(err, PhocusError::Pack(PackError::Checksum { .. })),
+            "{err:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn names_with_tabs_or_line_breaks_are_rejected() {
+        let dir = tmpdir("badname");
+        let bytes = pack_instance(&figure1_instance(4 * MB)).unwrap();
+        let mut b = CatalogBuilder::create(&dir).unwrap();
+        for bad in ["a\tb", "a\nb", "a\rb"] {
+            let err = b.add_pack(bad, &bytes, 7, 1).unwrap_err();
+            assert!(matches!(err, PhocusError::Catalog { .. }), "{err}");
+        }
+        // Nothing was recorded, so the index stays readable.
+        b.add_pack("ok", &bytes, 7, 1).unwrap();
+        b.finish().unwrap();
+        assert_eq!(Catalog::open(&dir).unwrap().entries().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn names_with_spaces_slashes_and_unicode_round_trip() {
+        let dir = tmpdir("names");
+        let bytes = pack_instance(&figure1_instance(4 * MB)).unwrap();
+        let names = ["two words", "a/b\\c", "fotoğraf arşivi", "写真 📷"];
+        let mut b = CatalogBuilder::create(&dir).unwrap();
+        for name in names {
+            b.add_pack(name, &bytes, 7, 1).unwrap();
+        }
+        let built = b.finish().unwrap();
+        let opened = Catalog::open(&dir).unwrap();
+        assert_eq!(opened.entries(), built.entries());
+        for name in names {
+            assert!(opened.load_by_name(name).is_ok(), "{name}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn finishing_twice_replaces_the_index_and_leaves_no_temp_file() {
+        let dir = tmpdir("twice");
+        let bytes = pack_instance(&figure1_instance(4 * MB)).unwrap();
+        let mut b = CatalogBuilder::create(&dir).unwrap();
+        b.add_pack("first", &bytes, 7, 1).unwrap();
+        b.finish().unwrap();
+        let mut b = CatalogBuilder::create(&dir).unwrap();
+        b.add_pack("second", &bytes, 7, 1).unwrap();
+        b.add_pack("third", &bytes, 7, 1).unwrap();
+        b.finish().unwrap();
+        assert!(!dir.join(INDEX_TMP).exists());
+        let opened = Catalog::open(&dir).unwrap();
+        let names: Vec<&str> = opened.entries().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["second", "third"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -182,6 +182,21 @@ fn bad_flag_value_exits_with_usage_code() {
 }
 
 #[test]
+fn solve_rejects_negative_and_non_finite_budgets() {
+    for bad in ["-5", "NaN", "inf"] {
+        let out = phocus(&["solve", "--dataset", "tiny", "--budget-mb", bad]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--budget-mb {bad} is a usage error"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--budget-mb"), "names the flag: {stderr}");
+        assert!(out.stdout.is_empty(), "nothing solved for {bad}");
+    }
+}
+
+#[test]
 fn compress_compares_remove_vs_compress() {
     let out = phocus(&[
         "compress",
@@ -477,6 +492,29 @@ fn serve_batch_malformed_tenant_fails_that_tenant_not_the_batch() {
         String::from_utf8_lossy(&out.stderr)
     );
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(list.parent().unwrap()).ok();
+}
+
+#[test]
+fn serve_batch_rejects_negative_and_non_finite_budgets() {
+    let list = write_batch_fixture("bad_budget", &[]);
+    for bad in ["-5", "NaN", "inf"] {
+        let out = phocus(&[
+            "serve-batch",
+            "--list",
+            list.to_str().unwrap(),
+            "--budget-mb",
+            bad,
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--budget-mb {bad} is a usage error"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--budget-mb"), "names the flag: {stderr}");
+        assert!(out.stdout.is_empty(), "no tenant served for {bad}");
+    }
     std::fs::remove_dir_all(list.parent().unwrap()).ok();
 }
 

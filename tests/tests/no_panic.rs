@@ -14,7 +14,7 @@ use par_core::{
 };
 use par_datasets::{from_text, to_text, DatasetError, SubsetDef, Universe};
 use par_embed::Embedding;
-use phocus::{ActionLadder, CompressionLevel, Phocus, PhocusError};
+use phocus::{ActionLadder, CatalogBuilder, CompressionLevel, Phocus, PhocusError};
 use proptest::prelude::*;
 
 /// SplitMix64 — a local deterministic stream so each case can draw an
@@ -481,6 +481,30 @@ fn pack_reader_caps_allocations_before_trusting_counts() {
     pack_fix_checksum(&mut bytes, 0);
     let err = unpack_instance(&bytes).expect_err("hostile count must not load");
     assert!(!err.to_string().is_empty());
+}
+
+/// A catalog pack cut at every offset: `Catalog::load` must return a typed
+/// error for each prefix, and since no prefix is the indexed file, that
+/// error is the whole-file mismatch, whatever the cut broke in the pack.
+#[test]
+fn catalog_load_rejects_every_truncation_of_a_pack() {
+    let dir = std::env::temp_dir().join(format!("phocus-no-panic-truncate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let bytes = base_pack();
+    let mut builder = CatalogBuilder::create(&dir).expect("catalog dir");
+    builder.add_pack("t", &bytes, 30, 1).expect("pack written");
+    let catalog = builder.finish().expect("index written");
+    let entry = &catalog.entries()[0];
+    let path = dir.join(&entry.pack);
+    assert!(catalog.load(entry).is_ok());
+    for cut in 0..bytes.len() {
+        std::fs::write(&path, &bytes[..cut]).expect("rewrite pack");
+        match catalog.load(entry) {
+            Err(PhocusError::Catalog { .. }) => {}
+            other => panic!("cut at {cut}: expected a catalog checksum error, got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The empty image and the bare header are the smallest corrupt packs.

@@ -1,18 +1,18 @@
-//! Property tests for the component-sharded solver: the decomposition is a
+//! Property tests for the component-sharded solver: the shard labels are a
 //! true partition of the photo–query graph, and the sharded CELF driver's
 //! transcript is bit-identical to the global lazy greedy on random instances
 //! under both greedy rules.
 
 use par_algo::{lazy_greedy, sharded_lazy_greedy, GreedyRule};
 use par_core::fixtures::{random_instance, RandomInstanceConfig};
-use par_core::{decompose, ContextSim, Instance};
+use par_core::{shard_labels, ContextSim, Instance};
 use proptest::prelude::*;
 
 fn instance_strategy() -> impl Strategy<Value = Instance> {
     // The vendored proptest shim drives everything from integer ranges:
     // budget_pct becomes the budget fraction, and sparsity picks dense /
-    // τ=0.6 / τ=0.85 similarity stores (the split-fragment paths only
-    // trigger on sparse instances).
+    // τ=0.6 / τ=0.85 similarity stores (only sparse queries can span
+    // several shards).
     (any::<u64>(), 30usize..120, 5usize..25, 15u64..80, 0u32..3).prop_map(
         |(seed, photos, subsets, budget_pct, sparsity)| {
             let inst = random_instance(
@@ -40,92 +40,57 @@ proptest! {
 
     #[test]
     fn decomposition_is_a_true_partition(inst in instance_strategy()) {
-        let dec = decompose(&inst);
+        let labels = shard_labels(&inst);
+        let n = inst.num_photos();
+        prop_assert_eq!(labels.photo_shards().len(), n);
 
-        // Every photo appears in exactly one shard, and the inverse maps
-        // (shard_of / local_of) agree with the shard member lists.
-        let mut seen = vec![false; inst.num_photos()];
-        for (s, view) in dec.shards.iter().enumerate() {
-            prop_assert_eq!(view.photos.len(), view.instance.num_photos());
-            for (local, &g) in view.photos.iter().enumerate() {
-                prop_assert!(!seen[g.index()], "photo {} in two shards", g.0);
-                seen[g.index()] = true;
-                prop_assert_eq!(dec.shard_of(g), s);
-                prop_assert_eq!(dec.local_of(g).index(), local);
-                prop_assert_eq!(
-                    view.instance.cost(dec.local_of(g)),
-                    inst.cost(g),
-                    "cost changed in remap"
-                );
-            }
+        // Labels run 0..num_shards in first-seen order by photo id.
+        let mut next = 0u32;
+        for &s in labels.photo_shards() {
+            prop_assert!(s <= next, "label {} appears before label {}", s, next);
+            next = next.max(s + 1);
         }
-        prop_assert!(seen.iter().all(|&s| s), "photo missing from all shards");
+        prop_assert_eq!(next as usize, labels.num_shards());
 
-        // Every query's members are partitioned among its fragments, each
-        // fragment's members all live in the fragment's shard, and weights /
-        // relevance entries are copied bit-exactly (no renormalization).
-        let mut covered: Vec<Vec<bool>> = inst
-            .subsets()
-            .iter()
-            .map(|q| vec![false; q.members.len()])
-            .collect();
-        for view in &dec.shards {
-            for (local_q, &gq) in view.subsets.iter().enumerate() {
-                let frag = &view.instance.subsets()[local_q];
-                let global = &inst.subsets()[gq.index()];
-                prop_assert_eq!(frag.weight.to_bits(), global.weight.to_bits());
-                for (k, (&m, &r)) in frag.members.iter().zip(frag.relevance.iter()).enumerate() {
-                    let g = view.photos[m.index()];
-                    let pos = global
-                        .members
-                        .iter()
-                        .position(|&gm| gm == g)
-                        .expect("fragment member is a member of the global query");
-                    prop_assert!(
-                        !covered[gq.index()][pos],
-                        "member {} of query {} in two fragments", g.0, gq.0
-                    );
-                    covered[gq.index()][pos] = true;
-                    prop_assert_eq!(
-                        r.to_bits(),
-                        global.relevance[pos].to_bits(),
-                        "relevance renormalized"
-                    );
-                    let _ = k;
-                }
-            }
-        }
-        for (q, cov) in covered.iter().enumerate() {
-            prop_assert!(
-                cov.iter().all(|&c| c),
-                "query {q} member missing from all fragments"
-            );
-        }
-
-        // No stored similarity edge crosses shards: each sparse edge links
-        // two members the decomposition placed together.
+        // No stored similarity pair crosses shards, and every dense or unit
+        // query sits in one shard. A photo is edgeless when no query links
+        // it to another photo.
+        let mut has_edge = vec![false; n];
         for q in inst.subsets() {
             if let ContextSim::Sparse(sp) = inst.sim(q.id) {
                 for (pos, &m) in q.members.iter().enumerate() {
-                    let s = dec.shard_of(m);
                     for &j in sp.neighbors(pos).0 {
+                        let other = q.members[j as usize];
                         prop_assert_eq!(
-                            dec.shard_of(q.members[j as usize]),
-                            s,
+                            labels.shard_of(other),
+                            labels.shard_of(m),
                             "stored edge crosses shards"
                         );
+                        has_edge[m.index()] = true;
+                        has_edge[other.index()] = true;
                     }
                 }
-            } else {
-                // Dense / unit queries are clique-unioned: all members in
-                // one shard.
-                if let Some((&first, rest)) = q.members.split_first() {
-                    let s = dec.shard_of(first);
-                    for &m in rest {
-                        prop_assert_eq!(dec.shard_of(m), s, "dense query split");
-                    }
+            } else if let Some((&first, rest)) = q.members.split_first() {
+                let s = labels.shard_of(first);
+                for &m in rest {
+                    prop_assert_eq!(labels.shard_of(m), s, "dense query split");
+                    has_edge[m.index()] = true;
+                    has_edge[first.index()] = true;
                 }
             }
+        }
+
+        // With at least two edgeless photos, the pool holds exactly those.
+        let edgeless: Vec<usize> = (0..n).filter(|&p| !has_edge[p]).collect();
+        match labels.singleton_pool() {
+            Some(pool) => {
+                let pooled: Vec<usize> = (0..n)
+                    .filter(|&p| labels.photo_shards()[p] as usize == pool)
+                    .collect();
+                prop_assert!(edgeless.len() >= 2);
+                prop_assert_eq!(pooled, edgeless);
+            }
+            None => prop_assert!(edgeless.len() < 2, "{} edgeless photos, no pool", edgeless.len()),
         }
     }
 
