@@ -56,6 +56,16 @@
 //! by filtering and sorting — a total order over distinct photos, hence
 //! bit-identical to the from-scratch pool stream regardless of input order.
 //!
+//! # Both rules at once
+//!
+//! The UC and CB runs of an epoch read the same prepared state — the
+//! post-`S₀` evaluator, the seed sweep, the carried transcripts — and write
+//! nothing the other reads: each clones its own evaluator (and with it its
+//! own counters) and records its own transcripts. [`IncrementalSolver::resolve`]
+//! therefore runs them through [`par_exec::join`], UC on the caller and CB
+//! on a pool worker, falling back to UC-then-CB at one installed thread.
+//! Outcomes, transcripts and every counter are the same on either path.
+//!
 //! # Cache invalidation
 //!
 //! [`IncrementalSolver::apply_delta`] remaps the caches through the delta's
@@ -274,8 +284,9 @@ impl IncrementalSolver {
         Ok(stats)
     }
 
-    /// Runs Algorithm 1 on the resident instance: both greedy rules through
-    /// the sharded coordinator, clean shards replaying their transcripts.
+    /// Runs Algorithm 1 on the resident instance: both greedy rules at once
+    /// through the sharded coordinator, clean shards replaying their
+    /// transcripts.
     /// Bit-identical to
     /// [`main_algorithm_sharded`](crate::main_algorithm_sharded) on
     /// [`instance`](Self::instance), including the winner selection.
@@ -353,8 +364,12 @@ impl IncrementalSolver {
             seed: &seed,
             budget,
         };
-        let uc = run_rule(&ctx, &self.caches, &base, &base_stats, GreedyRule::UnitCost);
-        let cb = run_rule(&ctx, &self.caches, &base, &base_stats, GreedyRule::CostBenefit);
+        // The two rules share only read-only state and each clones its own
+        // evaluator (with its own counters), so they run at once.
+        let (uc, cb) = par_exec::join(
+            || run_rule(&ctx, &self.caches, &base, &base_stats, GreedyRule::UnitCost),
+            || run_rule(&ctx, &self.caches, &base, &base_stats, GreedyRule::CostBenefit),
+        );
 
         self.report = EpochReport {
             num_shards,

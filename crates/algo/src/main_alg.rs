@@ -6,6 +6,15 @@
 //! guarantee to `(1 − 1/e)/2`; when all costs are equal the `UC` run alone is
 //! the optimal `(1 − 1/e)` greedy of Nemhauser et al., so Algorithm 1 is
 //! provably optimal for uniform costs.
+//!
+//! The two runs share nothing but the prepared post-`S₀` state, so
+//! [`main_algorithm_sharded`] runs them at once through [`par_exec::join`]
+//! (serially at one installed thread, as every `par-exec` kernel does);
+//! each run clones its own evaluator, so outcomes and counters are those of
+//! the sequential runs. [`main_algorithm_scratch`] and
+//! [`main_algorithm_packed`] stay sequential: both rules there draw on one
+//! [`SolveScratch`], and the fleet engine already spreads tenants over the
+//! cores. The global [`main_algorithm`] oracle stays sequential too.
 
 use crate::celf::{lazy_greedy, GreedyRule};
 use crate::sharded::{ShardedSolver, SolveScratch};
@@ -44,12 +53,16 @@ pub fn main_algorithm(inst: &Instance) -> MainOutcome {
 
 /// Runs Algorithm 1 through the component-sharded solver of
 /// [`crate::sharded`]: the instance's shards are labeled once and both
-/// sub-runs reuse the labels. Transcripts (and score bits) are identical to
-/// [`main_algorithm`]; only the instrumentation counters differ.
+/// sub-runs reuse the labels, running at once on two cores when the
+/// installed thread count allows. Transcripts (and score bits) are
+/// identical to [`main_algorithm`]; only the instrumentation counters
+/// differ.
 pub fn main_algorithm_sharded(inst: &Instance) -> MainOutcome {
     let solver = ShardedSolver::new(inst);
-    let uc = solver.solve(GreedyRule::UnitCost);
-    let cb = solver.solve(GreedyRule::CostBenefit);
+    let (uc, cb) = par_exec::join(
+        || solver.solve(GreedyRule::UnitCost),
+        || solver.solve(GreedyRule::CostBenefit),
+    );
     pick_winner(uc, cb)
 }
 

@@ -57,7 +57,7 @@ use crate::{ModelError, Photo, PhotoId, Result, Subset, SubsetId};
 use std::sync::Arc;
 
 /// A photo arriving in an epoch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhotoAdd {
     /// Human-readable label (file name, product title, …).
     pub name: String,
@@ -79,7 +79,7 @@ pub enum MemberRef {
 }
 
 /// A query arriving in an epoch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryAdd {
     /// Human-readable label.
     pub label: String,
@@ -103,7 +103,7 @@ pub struct QueryAdd {
 /// and imply un-requiring it; queries emptied this way auto-retire), query
 /// retirements, photo additions, query additions, required-set changes
 /// (`unrequire` before `require`), then the budget change.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EpochDelta {
     /// Photos to purge from the archive.
     pub remove_photos: Vec<PhotoId>,

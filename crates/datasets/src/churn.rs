@@ -197,45 +197,85 @@ fn resolve_err(msg: String) -> DatasetError {
     DatasetError::TraceResolve(msg)
 }
 
-/// A name lookup table over the live instance. `None` marks a name that
-/// occurs more than once (ambiguous — resolution refuses to guess).
+/// What a pass over the live instance found under one name.
+#[derive(Debug, Clone, Copy)]
+enum Seen<I> {
+    /// No photo (or query) of the instance carries the name.
+    Never,
+    /// Exactly one does.
+    Once(I),
+    /// More than one does: the name is ambiguous and resolution refuses to
+    /// guess.
+    Twice,
+}
+
+impl<I> Seen<I> {
+    fn see(&mut self, id: I) {
+        *self = match self {
+            Seen::Never => Seen::Once(id),
+            _ => Seen::Twice,
+        };
+    }
+}
+
+/// A name lookup table over the live instance. A name missing from the
+/// table is unknown, like one the instance never carried.
 struct NameMaps<'a> {
-    photos: HashMap<&'a str, Option<PhotoId>>,
-    subsets: HashMap<&'a str, Option<SubsetId>>,
+    photos: HashMap<&'a str, Seen<PhotoId>>,
+    subsets: HashMap<&'a str, Seen<SubsetId>>,
 }
 
 impl<'a> NameMaps<'a> {
-    fn new(inst: &'a Instance) -> Self {
-        let mut photos: HashMap<&str, Option<PhotoId>> = HashMap::new();
-        for p in inst.photos() {
-            photos
-                .entry(&*p.name)
-                .and_modify(|e| *e = None)
-                .or_insert(Some(p.id));
+    /// The photo names and query labels `ops` reference, each resolved
+    /// against `inst`. The table is as small as the epoch: one pass over the
+    /// instance looks every name up in it and never grows it.
+    fn referenced(ops: &'a [TraceOp], inst: &Instance) -> Self {
+        let mut photos: HashMap<&str, Seen<PhotoId>> = HashMap::new();
+        let mut subsets: HashMap<&str, Seen<SubsetId>> = HashMap::new();
+        for op in ops {
+            match op {
+                TraceOp::RemovePhoto { name }
+                | TraceOp::Require { name }
+                | TraceOp::Unrequire { name } => {
+                    photos.insert(name, Seen::Never);
+                }
+                TraceOp::AddQuery { members, .. } => {
+                    for (name, _) in members {
+                        photos.insert(name, Seen::Never);
+                    }
+                }
+                TraceOp::RetireQuery { label } => {
+                    subsets.insert(label, Seen::Never);
+                }
+                TraceOp::AddPhoto { .. } | TraceOp::Budget { .. } => {}
+            }
         }
-        let mut subsets: HashMap<&str, Option<SubsetId>> = HashMap::new();
+        for p in inst.photos() {
+            if let Some(seen) = photos.get_mut(&*p.name) {
+                seen.see(p.id);
+            }
+        }
         for s in inst.subsets() {
-            subsets
-                .entry(&*s.label)
-                .and_modify(|e| *e = None)
-                .or_insert(Some(s.id));
+            if let Some(seen) = subsets.get_mut(&*s.label) {
+                seen.see(s.id);
+            }
         }
         NameMaps { photos, subsets }
     }
 
     fn photo(&self, name: &str) -> Result<PhotoId> {
         match self.photos.get(name) {
-            Some(Some(id)) => Ok(*id),
-            Some(None) => Err(resolve_err(format!("photo name `{name}` is ambiguous"))),
-            None => Err(resolve_err(format!("unknown photo name `{name}`"))),
+            Some(Seen::Once(id)) => Ok(*id),
+            Some(Seen::Twice) => Err(resolve_err(format!("photo name `{name}` is ambiguous"))),
+            Some(Seen::Never) | None => Err(resolve_err(format!("unknown photo name `{name}`"))),
         }
     }
 
     fn subset(&self, label: &str) -> Result<SubsetId> {
         match self.subsets.get(label) {
-            Some(Some(id)) => Ok(*id),
-            Some(None) => Err(resolve_err(format!("query label `{label}` is ambiguous"))),
-            None => Err(resolve_err(format!("unknown query label `{label}`"))),
+            Some(Seen::Once(id)) => Ok(*id),
+            Some(Seen::Twice) => Err(resolve_err(format!("query label `{label}` is ambiguous"))),
+            Some(Seen::Never) | None => Err(resolve_err(format!("unknown query label `{label}`"))),
         }
     }
 }
@@ -248,8 +288,16 @@ impl<'a> NameMaps<'a> {
 /// `AddQuery` members may name photos added earlier in the same epoch
 /// (resolved to [`MemberRef::New`]); everything else resolves to pre-delta
 /// ids exactly as [`EpochDelta`] expects.
+///
+/// No archive-sized map is built: only the names `ops` reference enter a
+/// table, as small as the epoch, and one pass over the instance's photo
+/// names and query labels looks each of them up in it.
 pub fn resolve_epoch(ops: &[TraceOp], inst: &Instance) -> Result<EpochDelta> {
-    let maps = NameMaps::new(inst);
+    resolve_with(ops, &NameMaps::referenced(ops, inst))
+}
+
+/// The op loop of [`resolve_epoch`] over a prepared name table.
+fn resolve_with(ops: &[TraceOp], maps: &NameMaps<'_>) -> Result<EpochDelta> {
     let mut delta = EpochDelta::default();
     // Photos added earlier in this same epoch, by name → add_photos index.
     let mut fresh: HashMap<&str, usize> = HashMap::new();
@@ -382,6 +430,12 @@ fn parse_u64(line: usize, field: &str, what: &str) -> Result<u64> {
         .map_err(|_| err(line, format!("bad {what} `{field}`")))
 }
 
+fn parse_u32(line: usize, field: &str, what: &str) -> Result<u32> {
+    field
+        .parse::<u32>()
+        .map_err(|_| err(line, format!("bad {what} `{field}`")))
+}
+
 fn parse_f64(line: usize, field: &str, what: &str) -> Result<f64> {
     let v = field
         .parse::<f64>()
@@ -510,8 +564,8 @@ pub fn trace_from_text(text: &str) -> Result<ChurnTrace> {
                         let mut pairs = Vec::with_capacity(p);
                         for k in 0..p {
                             let at = members_end + 1 + 3 * k;
-                            let i = parse_u64(lineno, fields[at], "pair index")? as u32;
-                            let j = parse_u64(lineno, fields[at + 1], "pair index")? as u32;
+                            let i = parse_u32(lineno, fields[at], "pair index")?;
+                            let j = parse_u32(lineno, fields[at + 1], "pair index")?;
                             let s = parse_f64(lineno, fields[at + 2], "pair similarity")?;
                             pairs.push((i, j, s));
                         }
@@ -733,7 +787,7 @@ pub fn generate_churn(base: &Instance, cfg: &ChurnConfig) -> Result<ChurnTrace> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use par_core::fixtures::{random_instance, RandomInstanceConfig};
+    use par_core::fixtures::{random_instance, RandomInstanceConfig, SplitMix64};
 
     fn base(seed: u64) -> Instance {
         random_instance(
@@ -886,6 +940,200 @@ mod tests {
         );
         // And the delta actually applies.
         par_core::apply_delta(&inst, &delta).unwrap();
+    }
+
+    #[test]
+    fn pair_indices_beyond_u32_are_rejected_not_wrapped() {
+        let trace = |i: &str, j: &str| {
+            format!(
+                "# phocus-trace v1\nepoch\nadd_query\tq\t1.0\t2\ta\t1.0\tb\t1.0\t1\t{i}\t{j}\t0.9\n"
+            )
+        };
+        for (i, j) in [("4294967296", "1"), ("0", "4294967297"), ("-1", "1")] {
+            let got = trace_from_text(&trace(i, j)).unwrap_err().to_string();
+            let bad = if i.starts_with('0') { j } else { i };
+            assert!(got.contains(&format!("bad pair index `{bad}`")), "{got}");
+            assert!(got.contains("line 3"), "{got}");
+        }
+        // In-range indices parse; whether they fit the member list is
+        // checked when the delta is applied.
+        for (i, want) in [("4294967295", u32::MAX), ("2", 2)] {
+            let parsed = trace_from_text(&trace(i, "1")).unwrap();
+            let TraceOp::AddQuery { pairs, .. } = &parsed.epochs[0][0] else {
+                panic!("expected an add_query");
+            };
+            assert_eq!(pairs, &vec![(want, 1, 0.9)]);
+        }
+    }
+
+    /// The full-archive name table `resolve_epoch` built before it looked
+    /// up only the names an epoch references: every photo name and query
+    /// label of the instance. The reference the referenced-names table is
+    /// checked against.
+    fn full_maps(inst: &Instance) -> NameMaps<'_> {
+        let mut photos: HashMap<&str, Seen<PhotoId>> = HashMap::new();
+        for p in inst.photos() {
+            photos
+                .entry(&*p.name)
+                .and_modify(|e| *e = Seen::Twice)
+                .or_insert(Seen::Once(p.id));
+        }
+        let mut subsets: HashMap<&str, Seen<SubsetId>> = HashMap::new();
+        for s in inst.subsets() {
+            subsets
+                .entry(&*s.label)
+                .and_modify(|e| *e = Seen::Twice)
+                .or_insert(Seen::Once(s.id));
+        }
+        NameMaps { photos, subsets }
+    }
+
+    /// Resolves `ops` against `inst` with both name tables and asserts the
+    /// same delta or the same error text.
+    fn resolvers_agree(ops: &[TraceOp], inst: &Instance, what: &str) -> Result<EpochDelta> {
+        let got = resolve_epoch(ops, inst);
+        let want = resolve_with(ops, &full_maps(inst));
+        match (&got, &want) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "{what}"),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+            _ => panic!("{what}: resolvers disagree: {got:?} vs {want:?}"),
+        }
+        got
+    }
+
+    /// `inst` plus duplicated names: a second photo under the names of
+    /// photos 0 and n/2, a second query under the label of query 0, and two
+    /// photos named `twin` in two queries labeled `twin-q`, which generated
+    /// epochs never reference.
+    fn with_twins(inst: &Instance) -> Instance {
+        let n = inst.num_photos();
+        let photo = |name: &str| PhotoAdd {
+            name: name.to_string(),
+            cost: 100,
+            required: false,
+        };
+        let query = |label: &str, k: usize| QueryAdd {
+            label: label.to_string(),
+            weight: 1.0,
+            members: vec![MemberRef::New(k)],
+            relevance: vec![],
+            pairs: vec![],
+        };
+        let delta = EpochDelta {
+            add_photos: vec![
+                photo(&inst.photo(PhotoId(0)).name),
+                photo(&inst.photo(PhotoId((n / 2) as u32)).name),
+                photo("twin"),
+                photo("twin"),
+            ],
+            add_queries: vec![
+                query(&inst.subset(SubsetId(0)).label, 0),
+                query("twin-q", 2),
+                query("twin-q", 3),
+            ],
+            ..EpochDelta::default()
+        };
+        par_core::apply_delta(inst, &delta).unwrap().instance
+    }
+
+    /// Inserts one injected case into `ops` at a random position: an
+    /// unknown, duplicated, retired or same-epoch name.
+    fn inject(
+        ops: &mut Vec<TraceOp>,
+        rng: &mut SplitMix64,
+        inst: &Instance,
+        retired: &[String],
+        k: usize,
+    ) {
+        let n = inst.num_photos();
+        let any_photo = inst.photo(PhotoId(rng.next_below(n) as u32)).name.to_string();
+        let twinned = inst.photo(PhotoId(0)).name.to_string();
+        let fresh = format!("fresh-{k}");
+        let query = |label: String, members: Vec<&str>| TraceOp::AddQuery {
+            label,
+            weight: 1.5,
+            members: members.into_iter().map(|m| (m.to_string(), 1.0)).collect(),
+            pairs: vec![(0, 1, 0.5)],
+        };
+        let add = |name: &str| TraceOp::AddPhoto {
+            name: name.to_string(),
+            cost: 321,
+            required: false,
+        };
+        let case: Vec<TraceOp> = match rng.next_below(11) {
+            0 => vec![TraceOp::RemovePhoto {
+                name: "no-such-photo".into(),
+            }],
+            1 => vec![TraceOp::Require { name: twinned }],
+            2 => vec![TraceOp::Unrequire { name: "twin".into() }],
+            // Added earlier in the epoch, then named by a query.
+            3 => vec![add(&fresh), query(format!("inj-{k}"), vec![&fresh, &any_photo])],
+            // A fresh photo shadowing an existing name.
+            4 => vec![add(&any_photo), query(format!("inj-{k}"), vec![&any_photo, &twinned])],
+            5 => vec![query(format!("inj-{k}"), vec![&any_photo, "ghost"])],
+            // Named by a query before it is added.
+            6 => vec![query(format!("inj-{k}"), vec![&fresh, &any_photo]), add(&fresh)],
+            7 => vec![TraceOp::RetireQuery {
+                label: retired.last().cloned().unwrap_or_else(|| "never-was".into()),
+            }],
+            8 => vec![TraceOp::RetireQuery {
+                label: "twin-q".into(),
+            }],
+            9 => vec![TraceOp::RetireQuery {
+                label: inst.subset(SubsetId(0)).label.to_string(),
+            }],
+            _ => vec![TraceOp::RemovePhoto { name: any_photo }],
+        };
+        let at = rng.next_below(ops.len() + 1);
+        ops.splice(at..at, case);
+    }
+
+    /// Resolving only the referenced names gives exactly what the
+    /// full-archive table gave — the same delta or the same error text —
+    /// over generated churn chains, with and without duplicated names, and
+    /// with unknown, ambiguous, retired and same-epoch names injected.
+    #[test]
+    fn referenced_names_resolve_like_the_full_archive_table() {
+        let (mut ok, mut unknown, mut ambiguous) = (0, 0, 0);
+        for seed in 0..6u64 {
+            let mut rng = SplitMix64::new(seed ^ 0x5EED_0000);
+            let mut inst = base(seed);
+            let trace = generate_churn(&inst, &ChurnConfig { seed, ..busy_config() }).unwrap();
+            let mut retired: Vec<String> = Vec::new();
+            for (e, ops) in trace.epochs.iter().enumerate() {
+                let twins = with_twins(&inst);
+                let plain = resolvers_agree(ops, &inst, &format!("seed {seed} epoch {e}")).unwrap();
+                let mut outcomes =
+                    vec![resolvers_agree(ops, &twins, "generated epoch, twinned names")];
+                for k in 0..8 {
+                    let mut mutated = ops.clone();
+                    for _ in 0..1 + rng.next_below(3) {
+                        inject(&mut mutated, &mut rng, &inst, &retired, k);
+                    }
+                    let what = format!("seed {seed} epoch {e} variant {k}: {mutated:?}");
+                    outcomes.push(resolvers_agree(&mutated, &inst, &what));
+                    outcomes.push(resolvers_agree(&mutated, &twins, &what));
+                }
+                for outcome in outcomes {
+                    match outcome {
+                        Ok(_) => ok += 1,
+                        Err(e) if e.to_string().contains("ambiguous") => ambiguous += 1,
+                        Err(e) if e.to_string().contains("unknown") => unknown += 1,
+                        Err(e) if e.to_string().contains("added twice") => {}
+                        Err(e) => panic!("unexpected resolve error: {e}"),
+                    }
+                }
+                retired.extend(ops.iter().filter_map(|op| match op {
+                    TraceOp::RetireQuery { label } => Some(label.clone()),
+                    _ => None,
+                }));
+                inst = par_core::apply_delta(&inst, &plain).unwrap().instance;
+            }
+        }
+        assert!(
+            ok > 0 && unknown > 0 && ambiguous > 0,
+            "ok={ok} unknown={unknown} ambiguous={ambiguous}"
+        );
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! SimHash signing, banded bucketing, and ≥τ candidate-pair verification —
 //! are all *embarrassingly parallel over an indexed collection*. This crate
 //! provides the primitives they need: an order-preserving parallel map
-//! ([`par_map_indexed`] / [`par_map_slice`]) and a dynamically scheduled
-//! variant for heterogeneous work ([`par_map_dynamic`]), plus a
-//! process-wide [`Parallelism`] knob.
+//! ([`par_map_indexed`] / [`par_map_slice`]), a dynamically scheduled
+//! variant for heterogeneous work ([`par_map_dynamic`]), a two-task
+//! fork/join ([`join`]) for two independent runs over shared read-only
+//! state, plus a process-wide [`Parallelism`] knob.
 //!
 //! Kernels run on a **persistent worker pool** (the vendored `scoped-pool`
 //! shim): workers are spawned once per process and parked on a condvar, so
@@ -31,7 +32,8 @@
 //! Effective worker count = explicit argument (when using the `*_with`
 //! variants) → process-wide override ([`set_global_threads`]) → available
 //! hardware parallelism. A count of 1 short-circuits to the serial path;
-//! without the `parallel` feature everything is serial regardless.
+//! without the `parallel` feature everything is serial regardless. [`join`]
+//! has no `_with` variant: it always follows the installed count.
 
 #![forbid(unsafe_code)]
 
@@ -245,6 +247,37 @@ where
     parallel_dynamic(workers, len, &make_state, &f)
 }
 
+/// Runs two independent closures and returns their results in argument
+/// order: `a` on the caller, `b` on a parked pool worker.
+///
+/// Both run serially — `a`, then `b` — when the installed thread count is
+/// 1, when the `parallel` feature is off, or when `join` is called from a
+/// pool worker: the same fallback rule the `par_map_*` kernels follow.
+/// Neither closure may observe the other (they share only what both
+/// borrow immutably), so the results are the same on either path.
+///
+/// A panic in either closure reaches the caller only after both have
+/// finished; if both panic, `a`'s payload wins. On the serial path a panic
+/// in `a` means `b` never starts.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    #[cfg(feature = "parallel")]
+    if resolve_threads(None) > 1 && !on_worker_thread() {
+        let mut rb = None;
+        let ra = pool().scoped(|scope| {
+            scope.execute(|| rb = Some(b()));
+            a()
+        });
+        return (ra, rb.unwrap_or_else(|| unreachable!("the scope waits for `b`")));
+    }
+    let ra = a();
+    (ra, b())
+}
+
 /// Cursor-driven work pull: `workers - 1` pool tasks plus the caller each
 /// claim items with an atomic fetch-add and accumulate `(index, value)`
 /// locally; the merged pairs are sorted by index so the output order is
@@ -361,6 +394,32 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
+    use std::thread::{self, ThreadId};
+    use std::time::Duration;
+
+    /// Serializes the tests that install a process-wide thread count, so
+    /// one cannot observe another's override.
+    fn global_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `body` with `threads` installed process-wide, restoring the
+    /// previous setting afterwards.
+    fn with_installed<R>(threads: Parallelism, body: impl FnOnce() -> R) -> R {
+        let _guard = global_lock();
+        let prev = threads.install_global();
+        let out = catch_unwind(AssertUnwindSafe(body));
+        prev.install_global();
+        out.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+
+    fn here() -> ThreadId {
+        thread::current().id()
+    }
 
     #[test]
     fn par_map_matches_serial_map() {
@@ -398,6 +457,7 @@ mod tests {
 
     #[test]
     fn global_override_round_trips() {
+        let _guard = global_lock();
         assert_eq!(global_threads(), None);
         set_global_threads(Some(3));
         assert_eq!(global_threads(), Some(3));
@@ -467,6 +527,106 @@ mod tests {
         let b = available_threads();
         assert!(a >= 1);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn join_returns_results_in_argument_order() {
+        for threads in [Parallelism::serial(), Parallelism::with_threads(2)] {
+            let (a, b) = with_installed(threads, || join(|| 1u8, || "two"));
+            assert_eq!((a, b), (1, "two"), "{threads:?}");
+            // Borrowed inputs, heavier work on both sides.
+            let xs: Vec<u64> = (0..1000).collect();
+            let (sum, max) = with_installed(threads, || {
+                join(|| xs.iter().sum::<u64>(), || xs.iter().max().copied())
+            });
+            assert_eq!((sum, max), (499_500, Some(999)), "{threads:?}");
+        }
+        // At two threads `b` really leaves the caller.
+        let (a, b) = with_installed(Parallelism::with_threads(2), || join(here, here));
+        assert_eq!(a, here());
+        assert_eq!(b != here(), parallel_enabled());
+    }
+
+    #[test]
+    fn join_runs_serially_at_one_thread() {
+        let log = Mutex::new(Vec::new());
+        let (a, b) = with_installed(Parallelism::serial(), || {
+            join(
+                || {
+                    log.lock().unwrap().push('a');
+                    here()
+                },
+                || {
+                    log.lock().unwrap().push('b');
+                    here()
+                },
+            )
+        });
+        assert_eq!((a, b), (here(), here()), "both closures run on the caller");
+        assert_eq!(*log.lock().unwrap(), vec!['a', 'b'], "`a` runs before `b`");
+    }
+
+    #[test]
+    fn join_runs_serially_on_a_pool_worker() {
+        let out = with_installed(Parallelism::with_threads(2), || {
+            par_map_indexed(4, |i| {
+                let nested = on_worker_thread();
+                let (a, b) = join(|| (i, here()), here);
+                (nested, here(), a, b)
+            })
+        });
+        for (i, &(nested, me, a, b)) in out.iter().enumerate() {
+            assert_eq!(a.0, i, "results stay in index order");
+            if nested {
+                assert_eq!((a.1, b), (me, me), "item {i}: join on a worker must not fan out");
+            }
+        }
+        if parallel_enabled() {
+            assert!(out.iter().any(|o| o.0), "some items ran on a pool worker");
+        }
+    }
+
+    #[test]
+    fn join_panics_reach_the_caller_after_both_closures_finish() {
+        with_installed(Parallelism::with_threads(2), || {
+            // `b` panics: `a` still runs to its end first.
+            let a_done = AtomicBool::new(false);
+            let hit = catch_unwind(AssertUnwindSafe(|| {
+                join(|| a_done.store(true, Ordering::SeqCst), || panic!("b boom"))
+            }));
+            assert!(hit.is_err(), "a panic in `b` must reach the caller");
+            assert!(a_done.load(Ordering::SeqCst));
+
+            // `a` panics once `b` is running: the caller resumes only after
+            // `b` has finished. (On the serial path `b` never starts.)
+            if parallel_enabled() {
+                let (started, running) = mpsc::channel();
+                let b_done = AtomicBool::new(false);
+                let hit = catch_unwind(AssertUnwindSafe(|| {
+                    join(
+                        || {
+                            running.recv().ok();
+                            panic!("a boom")
+                        },
+                        || {
+                            started.send(()).ok();
+                            thread::sleep(Duration::from_millis(20));
+                            b_done.store(true, Ordering::SeqCst);
+                        },
+                    )
+                }));
+                assert!(hit.is_err(), "a panic in `a` must reach the caller");
+                assert!(b_done.load(Ordering::SeqCst), "`b` finished before the caller resumed");
+            }
+
+            // Both panic: `a`'s payload wins, and the pool survives.
+            let hit = catch_unwind(AssertUnwindSafe(|| {
+                join(|| panic!("a wins"), || panic!("b loses"))
+            }));
+            let payload = hit.err().and_then(|p| p.downcast_ref::<&str>().copied());
+            assert_eq!(payload, Some("a wins"));
+            assert_eq!(join(|| 3, || 4), (3, 4));
+        });
     }
 
     #[test]

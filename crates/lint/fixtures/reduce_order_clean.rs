@@ -9,3 +9,8 @@ pub fn ordered(xs: &[f64]) -> f64 {
     }
     total
 }
+
+pub fn joined(xs: &[f64]) -> f64 {
+    let (head, tail) = par_exec::join(|| xs[0] * 0.5, || xs[1..].iter().sum::<f64>());
+    head + tail
+}

@@ -11,3 +11,12 @@ pub fn direct(xs: &[f64]) -> f64 {
     }
     total
 }
+
+pub fn joined(xs: &[f64]) -> f64 {
+    let mut total = 0.0;
+    let (_, n) = par_exec::join(
+        || total += xs[0] * 0.5, // phocus-lint: allow(reduce-order) — fixture: `b` never reads `total`
+        || xs.len(),
+    );
+    total + n as f64
+}

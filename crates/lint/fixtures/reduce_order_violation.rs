@@ -23,3 +23,9 @@ pub fn transitive(xs: &[f64]) -> Vec<f64> {
 fn bump(scratch: &mut f64, x: f64) {
     *scratch += x * 0.5;
 }
+
+pub fn joined(xs: &[f64]) -> f64 {
+    let mut total = 0.0;
+    let (_, n) = par_exec::join(|| total += xs[0] * 0.5, || xs.len());
+    total + n as f64
+}

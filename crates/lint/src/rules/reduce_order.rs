@@ -32,7 +32,8 @@ use crate::lexer::{Tok, TokKind};
 use crate::scope::{literal_hint, FileScopes};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The par-exec fan-out entry points (free functions and methods).
+/// The par-exec fan-out entry points (free functions and methods); `join`
+/// runs its two closures at once, so either may race the other.
 const FAN_OUT: &[&str] = &[
     "par_map_indexed",
     "par_map_indexed_with",
@@ -41,6 +42,7 @@ const FAN_OUT: &[&str] = &[
     "par_map_dynamic",
     "par_map_dynamic_with",
     "par_sum_f64",
+    "join",
 ];
 
 /// Forward-matches the group opened at `open`; returns the index of its

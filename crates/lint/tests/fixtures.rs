@@ -171,6 +171,10 @@ fn reduce_order_fires_directly_and_transitively_and_suppresses() {
         red.iter().any(|d| d.message.contains("bump")),
         "expected the transitive callee in a witness:\n{hits:#?}"
     );
+    assert!(
+        red.iter().any(|d| d.message.contains("inside a `join` closure")),
+        "expected the accumulation inside `join`:\n{hits:#?}"
+    );
     let clean = lint(include_str!("../fixtures/reduce_order_suppressed.rs"));
     assert!(!rules(&clean).contains(&"reduce-order"), "{clean:#?}");
 }

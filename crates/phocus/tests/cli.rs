@@ -818,3 +818,23 @@ fn usage_documents_pack_and_catalog() {
     assert!(text.contains("catalog"), "{text}");
     assert!(text.contains("--catalog"), "{text}");
 }
+
+#[test]
+fn epochs_trace_pair_index_beyond_u32_is_invalid_data() {
+    // 2^32 must not wrap to member 0: the pair would silently merge two
+    // shards. Out-of-range indices that fit u32 are rejected at apply time.
+    let path = std::env::temp_dir().join("phocus_cli_wide_pair.trace");
+    std::fs::write(
+        &path,
+        "# phocus-trace v1\nepoch\nadd_query\tq\t1.0\t2\tP-1K/img_000000.jpg\t1.0\t\
+         P-1K/img_000001.jpg\t1.0\t1\t4294967296\t1\t0.9\n",
+    )
+    .unwrap();
+    let trace = path.display().to_string();
+    let out = phocus(&["epochs", "--dataset", "p1k", "--budget-mb", "1", "--trace", &trace]);
+    assert_eq!(out.status.code(), Some(3), "bad trace data exits 3");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("bad pair index `4294967296`"), "{err}");
+    assert!(err.contains("line 3"), "{err}");
+    std::fs::remove_file(&path).ok();
+}

@@ -14,8 +14,10 @@
 //! 3. **Pinned goldens**: full epoch-chain transcripts are hashed and
 //!    pinned as constants, so serial and parallel builds (and every thread
 //!    count) are checked against the same bytes across compilations.
+//! 4. **Counters**: every [`EpochReport`] and both rules' work counters are
+//!    the same at every pool size, with the two rules running at once.
 
-use par_algo::{main_algorithm_sharded, GreedyRule, IncrementalSolver};
+use par_algo::{main_algorithm_sharded, EpochReport, GreedyRule, IncrementalSolver, MainOutcome};
 use par_core::fixtures::{random_instance, RandomInstanceConfig};
 use par_core::{shard_labels, Instance, PhotoId};
 use par_datasets::{generate_churn, resolve_epoch, ChurnConfig};
@@ -257,4 +259,45 @@ fn epoch_chains_share_pinned_goldens_at_all_thread_counts() {
         }
         prev.install_global();
     }
+}
+
+/// Both rules' work counters — everything in `RunStats` but the wall clock.
+fn work(out: &MainOutcome) -> [[u64; 4]; 2] {
+    [&out.uc.stats, &out.cb.stats]
+        .map(|st| [st.gain_evals, st.sim_ops, st.pq_pops, st.lazy_accepts])
+}
+
+/// Counters are part of the determinism contract: with the two rules of
+/// Algorithm 1 running at once, an epoch chain's `EpochReport`s and both
+/// rules' work counters — of every warm epoch and of a from-scratch
+/// `main_algorithm_sharded` solve of every epoch's instance — are the same
+/// at pool sizes 1, 2 and 8.
+#[test]
+fn counters_are_identical_across_thread_counts() {
+    type EpochCounters = (EpochReport, [[u64; 4]; 2], [[u64; 4]; 2]);
+    let mut runs: Vec<Vec<EpochCounters>> = Vec::new();
+    for threads in [1usize, 2, 8] {
+        let prev = Parallelism::with_threads(threads).install_global();
+        let mut counters = Vec::new();
+        for (seed, photos, subsets, budget_pct) in golden_fixtures() {
+            let base = base_instance(seed, photos, subsets, budget_pct);
+            let trace = generate_churn(&base, &churn_config(5, seed ^ 0x00D5)).unwrap();
+            let mut solver = IncrementalSolver::new(base);
+            let first = solver.resolve();
+            let scratch = main_algorithm_sharded(solver.instance());
+            counters.push((*solver.last_report(), work(&first), work(&scratch)));
+            for ops in &trace.epochs {
+                let delta = resolve_epoch(ops, solver.instance()).unwrap();
+                solver.apply_delta(&delta).unwrap();
+                let warm = solver.resolve();
+                let scratch = main_algorithm_sharded(solver.instance());
+                counters.push((*solver.last_report(), work(&warm), work(&scratch)));
+            }
+        }
+        runs.push(counters);
+        prev.install_global();
+    }
+    assert!(runs[0].iter().any(|c| c.0.replayed_streams > 0), "the chains replay");
+    assert_eq!(runs[0], runs[1], "2-thread pool changed the counters");
+    assert_eq!(runs[0], runs[2], "8-thread pool changed the counters");
 }
