@@ -144,6 +144,14 @@ diff /tmp/phocus_compress_a.txt /tmp/phocus_compress_b.txt
 diff /tmp/phocus_actions_a.tsv /tmp/phocus_actions_b.tsv
 grep -q 'compressed renditions' /tmp/phocus_compress_a.txt
 
+# End-to-end benchmark smoke gate: phocus-bench is its own package (it
+# builds the library crates by path, outside this workspace), so the
+# workspace `cargo test` never runs its smoke test. It serves every workload
+# at quick size, at 1 and 2 threads, plain and traced, and checks each
+# answer for feasibility and score and against the global oracle.
+echo "==> phocus-bench smoke test (every workload, quick size, checked answers)"
+cargo test --release -q --manifest-path phocus-bench/Cargo.toml
+
 echo "==> bench guard (recorded BENCH_*.json baselines)"
 cargo run --release -q -p par-bench --bin bench_guard
 

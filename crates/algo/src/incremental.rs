@@ -4,57 +4,30 @@
 //! Each epoch, an [`EpochDelta`] is applied through
 //! [`par_core::delta`] — which maintains the component labeling
 //! incrementally and marks exactly the touched components dirty — and
-//! [`IncrementalSolver::resolve`] re-runs Algorithm 1 with the
-//! component-sharded coordinator of [`crate::sharded`], except that **clean
-//! shards replay their recorded stream transcripts** instead of re-running
-//! their CELF heaps. The headline invariant, pinned by the goldens and
-//! proptests in `tests/`: every epoch's [`MainOutcome`] is **bit-identical**
-//! to [`main_algorithm_sharded`](crate::main_algorithm_sharded) on the
+//! [`IncrementalSolver::resolve`] re-runs Algorithm 1 on the
+//! component-sharded coordinator of [`crate::sharded`], prepared with the
+//! resident labels and last epoch's stream transcripts, so **clean shards
+//! replay their recorded transcripts** instead of re-running their CELF
+//! heaps (the replay rules are in the [`crate::sharded`] docs). The
+//! headline invariant, pinned by the goldens and proptests in `tests/`:
+//! every epoch's [`MainOutcome`] is **bit-identical** to
+//! [`main_algorithm_sharded`](crate::main_algorithm_sharded) on the
 //! post-delta instance — same photos, same order, same `f64` score bits.
 //!
-//! # Transcript replay
+//! This file holds the epoch bookkeeping around that coordinator: applying
+//! deltas, remapping the carried transcripts, the slack guard, and the
+//! [`EpochReport`].
 //!
-//! During every run, each non-pool shard records its *observable* stream
-//! events: [`TEvent::Drop`] when the stream pops a photo that no longer fits
-//! the remaining budget (dropped permanently — the global rule), and
-//! [`TEvent::Cand`] when a parked candidate is popped by the merge
-//! coordinator, with the key it carried and whether it was accepted.
-//! Internal heap mechanics — stale re-keys, `is_selected` skips — are *not*
-//! recorded: for a clean shard they are a deterministic function of the
-//! intra-shard accept history, which is exactly what the replay reproduces.
+//! # Why a clean shard's transcript still holds
 //!
 //! A clean shard's gains are bit-stable across the delta: the photo set,
 //! required flags, memberships (in order), fused `W·R` weights and stored
 //! similarity structure all survive verbatim (see `par_core::delta` — no
 //! renormalization, order-preserving compaction), and a marginal gain reads
 //! only intra-component state. The recorded keys are therefore still exact
-//! **as long as the run unfolds the same way**, which every replayed event
-//! re-verifies against current reality:
-//!
-//! * `Drop(p)`: if `p` still does not fit, consume and re-record; if it fits
-//!   now (the budget trajectory loosened), the transcript is missing `p`'s
-//!   candidacies — **go live** without consuming.
-//! * `Cand { photo, key, accepted }`: park `(key, photo)`. When the
-//!   coordinator pops it, compare the recorded flag with the current
-//!   affordability: on agreement the replay continues (accepts apply the
-//!   photo, drops are free); on disagreement the remaining events describe a
-//!   different trajectory — apply the *current* outcome, then **go live**.
-//!
-//! Going live rebuilds the shard's heap from scratch over its unselected,
-//! still-affordable photos with freshly computed gains — the exact-argmax
-//! state the from-scratch settle loop reaches by lazy means, so the
-//! coordinator cannot tell the difference. Dropped photos never re-enter
-//! (costs only grow), and interposed replay candidacies that end in drops
-//! are cost- and coverage-neutral, so they cannot perturb the accept
-//! sequence. Replay accepts use the plain [`Evaluator::add`]: coverage
-//! changes are always intra-shard and replay streams read no staleness
-//! stamps, so there is nothing to propagate.
-//!
-//! The singleton pool keeps no transcript. A pool photo's seed gain `Σ W·R`
-//! is state-independent (it shares no stored similarity with anyone), so the
-//! solver caches it per photo and rebuilds the frozen pool stream each epoch
-//! by filtering and sorting — a total order over distinct photos, hence
-//! bit-identical to the from-scratch pool stream regardless of input order.
+//! as long as the run unfolds the same way, which the replay re-verifies
+//! event by event. The singleton pool keeps no transcript; its photos' seed
+//! gains are state-independent, so they are cached per photo instead.
 //!
 //! # Both rules at once
 //!
@@ -75,41 +48,12 @@
 //! filters by affordability at the post-`S₀` state, so if the budget slack
 //! `B − C(S₀)` *grew* since the transcripts were recorded, a photo absent
 //! from a transcript might fit now; any replay shard containing such a photo
-//! is demoted to live at build time.
+//! is demoted to live before the solver is prepared.
 
-use crate::celf::Entry;
 use crate::main_alg::{pick_winner, MainOutcome};
-use crate::sharded::{propagate_changes, rule_index, MergeEntry};
-use crate::types::{GreedyOutcome, RunStats};
+use crate::sharded::{RuleCache, ShardedSolver, TEvent};
 use crate::GreedyRule;
-use par_core::{
-    shard_labels, EpochDelta, EvalStats, Evaluator, Instance, PhotoId, ShardLabels, SubsetId,
-};
-use std::collections::BinaryHeap;
-use std::time::Instant;
-
-/// One recorded observable event of a shard's stream. See the
-/// [module docs](self) for the replay verification rules.
-#[derive(Debug, Clone, Copy)]
-enum TEvent {
-    /// The stream popped this photo while it no longer fit the remaining
-    /// budget and dropped it permanently.
-    Drop(PhotoId),
-    /// A parked candidate was popped by the merge coordinator carrying
-    /// `key`; `accepted` records whether it was affordable at pop time.
-    Cand {
-        /// The candidate photo.
-        photo: PhotoId,
-        /// The exact priority key it was parked with.
-        key: f64,
-        /// Whether the coordinator accepted (vs dropped) it.
-        accepted: bool,
-    },
-}
-
-/// Per-shard transcripts, one per greedy rule (indexed by
-/// [`rule_index`]).
-type RuleCache = [Vec<TEvent>; 2];
+use par_core::{shard_labels, EpochDelta, Instance, PhotoId, ShardLabels};
 
 /// What a delta did to the resident instance, reported by
 /// [`IncrementalSolver::apply_delta`].
@@ -294,99 +238,50 @@ impl IncrementalSolver {
     pub fn resolve(&mut self) -> MainOutcome {
         let inst = &self.inst;
         let labels = &self.labels;
-        let num_photos = inst.num_photos();
         let num_shards = labels.num_shards();
-        let pool = labels.singleton_pool();
-        let budget = inst.budget();
         debug_assert_eq!(self.caches.len(), num_shards);
-
-        let mut shard_photos: Vec<Vec<PhotoId>> = vec![Vec::new(); num_shards];
-        for i in 0..num_photos as u32 {
-            shard_photos[labels.shard_of(PhotoId(i))].push(PhotoId(i));
-        }
-
-        let mut base = Evaluator::new(inst);
-        for &p in inst.required() {
-            base.add(p);
-        }
 
         // Streams are built over photos affordable at the post-`S₀` state.
         // If that slack grew since the transcripts were recorded, a replay
         // shard may hold a photo its transcript has never seen — demote it
-        // to live.
-        let slack = budget.saturating_sub(base.cost());
-        if let Some(prev) = self.prev_slack {
-            if slack > prev {
-                for (s, photos) in shard_photos.iter().enumerate() {
-                    let newly_fitting = |&&p: &&PhotoId| {
-                        let c = inst.cost(p);
-                        c > prev && c <= slack && !base.is_selected(p)
-                    };
-                    if self.caches[s].is_some() && photos.iter().any(|p| newly_fitting(&p)) {
-                        self.caches[s] = None;
-                    }
+        // to live before the prepare, whose seed sweep then covers it.
+        let slack = inst.budget().saturating_sub(inst.required_cost());
+        if let Some(prev) = self.prev_slack.filter(|&prev| slack > prev) {
+            for p in (0..inst.num_photos() as u32).map(PhotoId) {
+                let c = inst.cost(p);
+                if c > prev && c <= slack && !inst.is_required(p) {
+                    self.caches[labels.shard_of(p)] = None;
                 }
             }
         }
 
-        // One rule-independent seed sweep over what the caches don't cover:
-        // all photos of live shards, plus pool photos with no cached gain.
-        let mut need: Vec<PhotoId> = Vec::new();
-        for (s, photos) in shard_photos.iter().enumerate() {
-            let is_pool = Some(s) == pool;
-            if !is_pool && self.caches[s].is_some() {
-                continue;
-            }
-            for &p in photos {
-                if base.is_selected(p) {
-                    continue;
-                }
-                if !is_pool || self.pool_gain[p.index()].is_none() {
-                    need.push(p);
-                }
-            }
-        }
-        let gains = base.batch_gains(&need);
-        let mut seed = vec![0.0f64; num_photos];
-        for (&p, &g) in need.iter().zip(&gains) {
-            seed[p.index()] = g;
-            if Some(labels.shard_of(p)) == pool {
-                self.pool_gain[p.index()] = Some(g);
-            }
-        }
-        let base_stats = base.stats();
-
-        let ctx = RuleCtx {
-            inst,
-            shard_photos: &shard_photos,
-            pool,
-            pool_gain: &self.pool_gain,
-            seed: &seed,
-            budget,
-        };
+        let solver = ShardedSolver::resume(inst, labels, &self.caches, &mut self.pool_gain);
         // The two rules share only read-only state and each clones its own
         // evaluator (with its own counters), so they run at once.
         let (uc, cb) = par_exec::join(
-            || run_rule(&ctx, &self.caches, &base, &base_stats, GreedyRule::UnitCost),
-            || run_rule(&ctx, &self.caches, &base, &base_stats, GreedyRule::CostBenefit),
+            || solver.run(GreedyRule::UnitCost, inst.budget(), None),
+            || solver.run(GreedyRule::CostBenefit, inst.budget(), None),
         );
 
+        // Each rule runs one stream per shard; the pool's stream is neither
+        // replayed nor live.
+        let replayed = self.caches.iter().filter(|c| c.is_some()).count();
+        let live = num_shards - replayed - usize::from(labels.singleton_pool().is_some());
         self.report = EpochReport {
             num_shards,
-            replayed_streams: uc.replayed + cb.replayed,
-            live_streams: uc.live + cb.live,
+            replayed_streams: 2 * replayed,
+            live_streams: 2 * live,
             went_live: uc.went_live + cb.went_live,
-            gain_evals: base_stats.gain_evals
+            gain_evals: solver.prepare_gain_evals()
                 + uc.outcome.stats.gain_evals
                 + cb.outcome.stats.gain_evals,
         };
         self.prev_slack = Some(slack);
         self.caches = uc
-            .rec
+            .transcripts
             .into_iter()
-            .zip(cb.rec)
-            .enumerate()
-            .map(|(s, (u, c))| (Some(s) != pool).then_some([u, c]))
+            .zip(cb.transcripts)
+            .map(|(u, c)| Some([u?, c?]))
             .collect();
         pick_winner(uc.outcome, cb.outcome)
     }
@@ -416,334 +311,6 @@ fn remap_events(per_rule: RuleCache, remap: &[Option<PhotoId>]) -> Option<RuleCa
     };
     let [uc, cb] = per_rule;
     Some([map_one(uc)?, map_one(cb)?])
-}
-
-/// Everything a single rule's run needs, bundled to keep signatures flat.
-struct RuleCtx<'a> {
-    inst: &'a Instance,
-    shard_photos: &'a [Vec<PhotoId>],
-    pool: Option<usize>,
-    pool_gain: &'a [Option<f64>],
-    seed: &'a [f64],
-    budget: u64,
-}
-
-/// One rule's outcome plus the transcripts observed while producing it.
-struct RuleRun {
-    outcome: GreedyOutcome,
-    rec: Vec<Vec<TEvent>>,
-    replayed: usize,
-    live: usize,
-    went_live: usize,
-}
-
-/// The backing store of an epoch stream: a live CELF heap, a transcript
-/// being replayed (may transition to a heap on divergence), or the frozen
-/// pool cursor.
-enum StreamState<'c> {
-    Heap(BinaryHeap<Entry>),
-    Replay { events: &'c [TEvent], cursor: usize },
-    Frozen { entries: Vec<Entry>, cursor: usize },
-}
-
-/// One shard's stream for one rule's run, mirroring
-/// `sharded::ShardStream` plus replay state and the transcript recorder.
-struct Stream<'c> {
-    state: StreamState<'c>,
-    candidate: Option<Entry>,
-    /// The recorded `accepted` flag of the parked replay candidate;
-    /// `None` when the candidate came from a heap or the pool.
-    pending: Option<bool>,
-    /// Events observed this run — the next epoch's transcript.
-    rec: Vec<TEvent>,
-    pq_pops: u64,
-    went_live: bool,
-}
-
-impl<'c> Stream<'c> {
-    /// Abandons replay: rebuilds an exact heap over the shard's unselected,
-    /// still-affordable photos with freshly computed gains, stamped at the
-    /// current staleness versions. This is precisely the settled state the
-    /// from-scratch lazy heap represents, so the coordinator's view is
-    /// unchanged.
-    fn go_live(&mut self, ctx: &RuleCtx<'_>, s: usize, ev: &Evaluator<'_>, ver: &[u32], rule: GreedyRule) {
-        let mut ids: Vec<PhotoId> = Vec::new();
-        for &p in &ctx.shard_photos[s] {
-            if ev.is_selected(p) {
-                continue;
-            }
-            if ev.fits(p, ctx.budget) {
-                ids.push(p);
-            } else {
-                // The rebuild excludes photos that no longer fit — exactly
-                // the photos a lazy heap would pop and drop later. Record
-                // those drops so the next epoch's transcript still covers
-                // them (the replay re-verifies each one against its own
-                // budget trajectory).
-                self.rec.push(TEvent::Drop(p));
-            }
-        }
-        let gains = ev.batch_gains(&ids);
-        let entries: Vec<Entry> = ids
-            .iter()
-            .zip(&gains)
-            .map(|(&p, &g)| Entry {
-                key: rule.key(g, ctx.inst.cost(p)),
-                photo: p,
-                epoch: ver[p.index()],
-            })
-            .collect(); // phocus-lint: allow(alloc-hot) — go-live divergence fallback, once per demoted stream
-        self.state = StreamState::Heap(BinaryHeap::from(entries));
-        self.pending = None;
-        self.went_live = true;
-    }
-
-    /// Advances until a candidate is parked or the stream drains, exactly
-    /// like `sharded::ShardStream::settle`, recording drops and verifying
-    /// replayed events (divergence falls through to [`go_live`](Self::go_live)).
-    // phocus-lint: hot-kernel — warm-replay CELF stream advance; per merge-heap pop
-    fn settle(&mut self, ctx: &RuleCtx<'_>, s: usize, ev: &Evaluator<'_>, ver: &[u32], rule: GreedyRule) {
-        debug_assert!(self.candidate.is_none());
-        loop {
-            match &mut self.state {
-                StreamState::Heap(heap) => {
-                    while let Some(top) = heap.pop() {
-                        self.pq_pops += 1;
-                        let p = top.photo;
-                        if ev.is_selected(p) {
-                            continue;
-                        }
-                        if !ev.fits(p, ctx.budget) {
-                            self.rec.push(TEvent::Drop(p));
-                            continue;
-                        }
-                        let stamp = ver[p.index()];
-                        if top.epoch == stamp {
-                            self.candidate = Some(top);
-                            return;
-                        }
-                        let delta = ev.gain(p);
-                        heap.push(Entry {
-                            key: rule.key(delta, ctx.inst.cost(p)),
-                            photo: p,
-                            epoch: stamp,
-                        });
-                    }
-                    return;
-                }
-                StreamState::Frozen { entries, cursor } => {
-                    while let Some(&top) = entries.get(*cursor) {
-                        *cursor += 1;
-                        self.pq_pops += 1;
-                        if ev.is_selected(top.photo) {
-                            continue;
-                        }
-                        if !ev.fits(top.photo, ctx.budget) {
-                            continue;
-                        }
-                        self.candidate = Some(top);
-                        return;
-                    }
-                    return;
-                }
-                StreamState::Replay { events, cursor } => {
-                    let mut diverged = false;
-                    while let Some(&e) = events.get(*cursor) {
-                        self.pq_pops += 1;
-                        match e {
-                            TEvent::Drop(p) => {
-                                if ev.is_selected(p) {
-                                    *cursor += 1;
-                                    continue;
-                                }
-                                if !ev.fits(p, ctx.budget) {
-                                    *cursor += 1;
-                                    self.rec.push(TEvent::Drop(p));
-                                    continue;
-                                }
-                                // The recorded run dropped a photo that fits
-                                // this epoch: the transcript under-covers it.
-                                diverged = true;
-                                break;
-                            }
-                            TEvent::Cand { photo, key, accepted } => {
-                                debug_assert!(!ev.is_selected(photo));
-                                *cursor += 1;
-                                self.candidate = Some(Entry {
-                                    key,
-                                    photo,
-                                    epoch: 0,
-                                });
-                                self.pending = Some(accepted);
-                                return;
-                            }
-                        }
-                    }
-                    if !diverged {
-                        return; // drained
-                    }
-                }
-            }
-            self.go_live(ctx, s, ev, ver, rule);
-        }
-    }
-}
-
-/// One rule's full coordinator run, mixing live, replayed and frozen
-/// streams. Mirrors `ShardedSolver::solve_inner` step for step; the
-/// replayed parts shortcut only work whose outcome is re-verified.
-fn run_rule(
-    ctx: &RuleCtx<'_>,
-    caches: &[Option<RuleCache>],
-    base: &Evaluator<'_>,
-    base_stats: &EvalStats,
-    rule: GreedyRule,
-) -> RuleRun {
-    let start = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
-    let inst = ctx.inst;
-    let ri = rule_index(rule);
-    let mut ev = base.clone();
-    let mut ver = vec![0u32; inst.num_photos()];
-    let mut changed: Vec<(SubsetId, u32)> = Vec::new();
-    let mut replayed = 0usize;
-    let mut live = 0usize;
-
-    let mut streams: Vec<Stream<'_>> = (0..ctx.shard_photos.len())
-        .map(|s| {
-            let state = if Some(s) == ctx.pool {
-                let mut entries: Vec<Entry> = ctx.shard_photos[s]
-                    .iter()
-                    .filter(|&&p| !ev.is_selected(p) && ev.fits(p, ctx.budget))
-                    .map(|&p| {
-                        debug_assert!(ctx.pool_gain[p.index()].is_some());
-                        Entry {
-                            key: rule.key(
-                                ctx.pool_gain[p.index()].unwrap_or_default(),
-                                inst.cost(p),
-                            ),
-                            photo: p,
-                            epoch: 0,
-                        }
-                    })
-                    .collect();
-                entries.sort_unstable_by(|a, b| b.cmp(a));
-                StreamState::Frozen { entries, cursor: 0 }
-            } else if let Some(per_rule) = &caches[s] {
-                replayed += 1;
-                StreamState::Replay {
-                    events: &per_rule[ri],
-                    cursor: 0,
-                }
-            } else {
-                live += 1;
-                let entries: Vec<Entry> = ctx.shard_photos[s]
-                    .iter()
-                    .filter(|&&p| !ev.is_selected(p) && ev.fits(p, ctx.budget))
-                    .map(|&p| Entry {
-                        key: rule.key(ctx.seed[p.index()], inst.cost(p)),
-                        photo: p,
-                        epoch: 0,
-                    })
-                    .collect();
-                StreamState::Heap(BinaryHeap::from(entries))
-            };
-            Stream {
-                state,
-                candidate: None,
-                pending: None,
-                rec: Vec::new(),
-                pq_pops: 0,
-                went_live: false,
-            }
-        })
-        .collect();
-
-    let mut merge: BinaryHeap<MergeEntry> = BinaryHeap::new();
-    for (s, stream) in streams.iter_mut().enumerate() {
-        stream.settle(ctx, s, &ev, &ver, rule);
-        if let Some(c) = &stream.candidate {
-            merge.push(MergeEntry {
-                key: c.key,
-                photo: c.photo,
-                shard: s as u32, // phocus-lint: allow(cast-bounds) — shard count ≤ photo count, u32 by id width
-            });
-        }
-    }
-
-    let mut merge_pops = 0u64;
-    let mut lazy_accepts = 0u64;
-    while let Some(top) = merge.pop() {
-        merge_pops += 1;
-        let s = top.shard as usize;
-        streams[s].candidate = None;
-        let pending = streams[s].pending.take();
-        let fit = ev.fits(top.photo, ctx.budget);
-        if Some(s) == ctx.pool {
-            if fit {
-                lazy_accepts += 1;
-                ev.add(top.photo);
-            }
-        } else {
-            streams[s].rec.push(TEvent::Cand {
-                photo: top.photo,
-                key: top.key,
-                accepted: fit,
-            });
-            match pending {
-                Some(recorded) => {
-                    // Replay accepts are plain adds: coverage changes stay
-                    // inside this shard, and no stream of this shard reads
-                    // staleness stamps while it replays.
-                    if fit {
-                        lazy_accepts += 1;
-                        ev.add(top.photo);
-                    }
-                    if fit != recorded {
-                        streams[s].go_live(ctx, s, &ev, &ver, rule);
-                    }
-                }
-                None => {
-                    if fit {
-                        lazy_accepts += 1;
-                        changed.clear();
-                        ev.add_tracked(top.photo, |q, j| changed.push((q, j)));
-                        propagate_changes(inst, &changed, &mut ver);
-                    }
-                }
-            }
-        }
-        streams[s].settle(ctx, s, &ev, &ver, rule);
-        if let Some(c) = &streams[s].candidate {
-            merge.push(MergeEntry {
-                key: c.key,
-                photo: c.photo,
-                shard: top.shard,
-            });
-        }
-    }
-
-    let st = ev.stats();
-    let pq_pops = merge_pops + streams.iter().map(|s| s.pq_pops).sum::<u64>();
-    let went_live = streams.iter().filter(|s| s.went_live).count();
-    let outcome = GreedyOutcome {
-        score: ev.score(),
-        cost: ev.cost(),
-        selected: ev.selected_ids().to_vec(),
-        stats: RunStats {
-            gain_evals: st.gain_evals - base_stats.gain_evals,
-            sim_ops: st.sim_ops - base_stats.sim_ops,
-            pq_pops,
-            lazy_accepts,
-            elapsed: start.elapsed(),
-        },
-    };
-    RuleRun {
-        outcome,
-        rec: streams.into_iter().map(|s| s.rec).collect(),
-        replayed,
-        live,
-        went_live,
-    }
 }
 
 #[cfg(test)]

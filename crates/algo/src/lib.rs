@@ -70,8 +70,7 @@ pub use error::SolveError;
 pub use incremental::{DeltaStats, EpochReport, IncrementalSolver};
 pub use local_search::{swap_local_search, LocalSearchConfig};
 pub use main_alg::{
-    main_algorithm, main_algorithm_packed, main_algorithm_scratch, main_algorithm_sharded,
-    main_algorithm_with, MainOutcome,
+    main_algorithm, main_algorithm_packed, main_algorithm_sharded, main_algorithm_with, MainOutcome,
 };
 pub use online_bound::{online_bound, OnlineBound};
 pub use sharded::{sharded_lazy_greedy, sharded_lazy_greedy_from, ShardedSolver, SolveScratch};

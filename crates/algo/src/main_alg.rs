@@ -11,10 +11,10 @@
 //! [`main_algorithm_sharded`] runs them at once through [`par_exec::join`]
 //! (serially at one installed thread, as every `par-exec` kernel does);
 //! each run clones its own evaluator, so outcomes and counters are those of
-//! the sequential runs. [`main_algorithm_scratch`] and
-//! [`main_algorithm_packed`] stay sequential: both rules there draw on one
-//! [`SolveScratch`], and the fleet engine already spreads tenants over the
-//! cores. The global [`main_algorithm`] oracle stays sequential too.
+//! the sequential runs. [`main_algorithm_packed`] stays sequential: both
+//! rules there draw on one [`SolveScratch`], and the fleet engine already
+//! spreads tenants over the cores. The global [`main_algorithm`] oracle
+//! stays sequential too.
 
 use crate::celf::{lazy_greedy, GreedyRule};
 use crate::sharded::{ShardedSolver, SolveScratch};
@@ -66,24 +66,14 @@ pub fn main_algorithm_sharded(inst: &Instance) -> MainOutcome {
     pick_winner(uc, cb)
 }
 
-/// [`main_algorithm_sharded`] drawing every prepare- and solve-time buffer
-/// from `scratch` (and returning the capacity there afterwards): the fleet
-/// engine's per-tenant entry point. Bit-identical to `main_algorithm_sharded`
-/// regardless of what the scratch previously held — see
-/// [`SolveScratch`](crate::SolveScratch).
-pub fn main_algorithm_scratch(inst: &Instance, scratch: &mut SolveScratch) -> MainOutcome {
-    let solver = ShardedSolver::new_in(inst, scratch);
-    let uc = solver.solve_scratch(GreedyRule::UnitCost, scratch);
-    let cb = solver.solve_scratch(GreedyRule::CostBenefit, scratch);
-    solver.recycle(scratch);
-    pick_winner(uc, cb)
-}
-
-/// [`main_algorithm_scratch`] with the component labeling already known —
-/// the entry point for catalog-backed serving, where an instance arrives
-/// from a `phocus-pack` file with its shard labels persisted alongside:
-/// the solver skips the union-find pass entirely and goes straight to the
-/// seed sweep. Bit-identical to [`main_algorithm_sharded`].
+/// [`main_algorithm_sharded`] with the component labeling already known,
+/// drawing every prepare- and solve-time buffer from `scratch` (and
+/// returning the capacity there afterwards): the fleet engine's per-tenant
+/// entry point. Catalog-backed serving passes the shard labels persisted in
+/// a `phocus-pack` file, so the solver skips the union-find pass entirely;
+/// a text tenant passes `shard_labels(inst)`. Bit-identical to
+/// [`main_algorithm_sharded`] regardless of what the scratch previously
+/// held — see [`SolveScratch`](crate::SolveScratch).
 pub fn main_algorithm_packed(
     inst: &Instance,
     labels: par_core::ShardLabels,

@@ -5,10 +5,11 @@
 //! same `f64` score bits — while doing strictly less gain recomputation.
 //! The photos are first labeled by [`par_core::shard_labels`] with the
 //! shards that interact only through the shared budget. Each shard then runs
-//! its own lazy stream (a CELF heap plus per-photo staleness stamps), and a
-//! budget-aware coordinator repeatedly takes the stream whose *settled* top
-//! has the maximum key, with the global heap's exact tie-break (smaller
-//! photo id).
+//! its own lazy stream, and a budget-aware coordinator repeatedly takes the
+//! stream whose *settled* top has the maximum key, with the global heap's
+//! exact tie-break (smaller photo id). This file is the crate's one such
+//! coordinator: one-shot solves and the epoch-resident
+//! [`IncrementalSolver`](crate::IncrementalSolver) both run it.
 //!
 //! All streams share **one** evaluator — the prepared solver's clone of the
 //! post-`S₀` arena — so every gain is computed by the very same code on the
@@ -16,7 +17,7 @@
 //! triviality rather than a theorem about sub-instance remapping — and the
 //! solver needs nothing from the decomposition beyond each photo's shard
 //! label. The decomposition buys speed through what is *not* recomputed, at
-//! two levels:
+//! three levels:
 //!
 //! 1. **Across shards**: the global heap's epoch counter advances on *every*
 //!    accept, so every cached entry goes stale even when the accepted photo
@@ -35,10 +36,10 @@
 //!    entirely.
 //! 3. **The singleton pool**: photos forming singleton components share no
 //!    stored pair with anyone, so their seed keys are *frozen* — exact for
-//!    the whole run. The pool's stream is a cursor over entries pre-sorted
-//!    in pop order (cached per rule at prepare time) instead of a heap:
-//!    pops are sequential reads with no sift-downs, no staleness checks,
-//!    and pool accepts skip change-tracking and propagation outright.
+//!    the whole run. The pool's stream is a cursor over entries sorted into
+//!    pop order when the run starts, instead of a heap: pops are sequential
+//!    reads with no sift-downs, no staleness checks, and pool accepts skip
+//!    change-tracking and propagation outright.
 //!
 //! On top of removing redundant re-evaluations, the prepared
 //! [`ShardedSolver`] amortizes all rule-independent work across solves: the
@@ -64,12 +65,57 @@
 //! selects the same global argmax, re-checking affordability at pop time
 //! exactly where the global loop does.
 //!
-//! Per-component stream construction (keying the cached seed gains and
-//! heapifying) is dispatched through `par-exec`, so multi-core runs scale
-//! with component count; the coordinator itself is sequential by nature
-//! (each accept must observe the previous one), and the serial fallback is
-//! transcript-identical because heap *pop order* is fully determined by the
-//! entry ordering, not by construction order.
+//! # Streams
+//!
+//! A shard's stream is one of three kinds (`StreamState`): a CELF heap
+//! with staleness stamps, the pool's frozen cursor, or a *replayed
+//! transcript* — the resident solver's way of skipping a clean shard's
+//! work (below). Every run builds its streams in one serial loop, from
+//! scratch buffers or fresh ones; the coordinator is sequential by nature
+//! (each accept must observe the previous one), and heap *pop order* is
+//! fully determined by the entry ordering, not by construction order, so
+//! neither the buffers nor the thread count can show in a transcript.
+//!
+//! # Transcript replay
+//!
+//! A solver prepared by the epoch layer ([`crate::incremental`]) records,
+//! for every non-pool shard, the stream's *observable* events:
+//! `TEvent::Drop` when the stream pops a photo that no longer fits the
+//! remaining budget (dropped permanently — the global rule), and
+//! `TEvent::Cand` when the coordinator pops a parked candidate, with the
+//! key it carried and whether it was accepted. Internal heap mechanics —
+//! stale re-keys, `is_selected` skips — are *not* recorded: for a clean
+//! shard they are a deterministic function of the intra-shard accept
+//! history, which is exactly what the replay reproduces.
+//!
+//! The next epoch starts a clean shard's stream on its transcript. The
+//! recorded keys are still exact **as long as the run unfolds the same
+//! way**, which every replayed event re-verifies against current reality:
+//!
+//! * `Drop(p)`: if `p` still does not fit, consume and re-record; if it fits
+//!   now (the budget trajectory loosened), the transcript is missing `p`'s
+//!   candidacies — **go live** without consuming.
+//! * `Cand { photo, key, accepted }`: park `(key, photo)`. When the
+//!   coordinator pops it, compare the recorded flag with the current
+//!   affordability: on agreement the replay continues (accepts apply the
+//!   photo, drops are free); on disagreement the remaining events describe a
+//!   different trajectory — apply the *current* outcome, then **go live**.
+//!
+//! Going live rebuilds the shard's heap from scratch over its unselected,
+//! still-affordable photos with freshly computed gains — the exact-argmax
+//! state the from-scratch settle loop reaches by lazy means, so the
+//! coordinator cannot tell the difference. Dropped photos never re-enter
+//! (costs only grow), and interposed replay candidacies that end in drops
+//! are cost- and coverage-neutral, so they cannot perturb the accept
+//! sequence. Replay accepts use the plain [`Evaluator::add`]: coverage
+//! changes are always intra-shard and replay streams read no staleness
+//! stamps, so there is nothing to propagate.
+//!
+//! The singleton pool keeps no transcript. A pool photo's seed gain `Σ W·R`
+//! is state-independent (it shares no stored similarity with anyone), so
+//! the epoch layer caches it per photo and the pool stream is rebuilt each
+//! run by filtering and sorting — a total order over distinct photos, hence
+//! bit-identical to the from-scratch pool stream.
 
 use crate::celf::Entry;
 use crate::types::{GreedyOutcome, RunStats};
@@ -78,6 +124,7 @@ use par_core::{
     shard_labels, ContextSim, EvalArena, EvalStats, Evaluator, Instance, PhotoId, ShardLabels,
     SubsetId,
 };
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -115,33 +162,70 @@ impl SolveScratch {
     }
 }
 
+/// One recorded observable event of a shard's stream. See the
+/// [module docs](self) for the replay verification rules.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum TEvent {
+    /// The stream popped this photo while it no longer fit the remaining
+    /// budget and dropped it permanently.
+    Drop(PhotoId),
+    /// A parked candidate was popped by the coordinator carrying `key`;
+    /// `accepted` records whether it was affordable at pop time.
+    Cand {
+        /// The candidate photo.
+        photo: PhotoId,
+        /// The exact priority key it was parked with.
+        key: f64,
+        /// Whether the coordinator accepted (vs dropped) it.
+        accepted: bool,
+    },
+}
 
-/// One per-component lazy stream: a CELF heap over the shard's photos
-/// (global ids) and the parked settled top.
+/// A shard's transcripts, one per greedy rule (indexed by [`rule_index`]).
+pub(crate) type RuleCache = [Vec<TEvent>; 2];
+
+/// Index of `rule` into a [`RuleCache`].
+#[inline]
+fn rule_index(rule: GreedyRule) -> usize {
+    match rule {
+        GreedyRule::UnitCost => 0,
+        GreedyRule::CostBenefit => 1,
+    }
+}
+
+/// One shard's lazy stream for one run, and its parked settled top.
 ///
 /// Instead of the global CELF's single epoch (every accept invalidates every
-/// cached entry), each *subset* carries a version counter — `ver` in
-/// [`ShardedSolver::solve_with`] — bumped when an accept changes any of its
-/// members' coverage. A cached entry stores its photo's stamp
-/// ([`photo_stamp`]) at compute time; the entry is exactly current while the
-/// stamp is unchanged, because a marginal gain reads only the coverage
-/// state of the photo's own contexts. Popping a current entry therefore
-/// skips the gain recomputation the global loop would have paid, with a
-/// bit-identical key.
-struct ShardStream {
-    state: StreamState,
+/// cached entry), each *photo* carries a version counter — `ver` in
+/// [`ShardedSolver::run`] — bumped when an accept changes coverage the
+/// photo's gain reads ([`propagate_changes`]). A cached heap entry stores
+/// its photo's version at compute time; the entry is exactly current while
+/// the version is unchanged, because a marginal gain reads only the
+/// coverage state of the photo's own contexts. Popping a current entry
+/// therefore skips the gain recomputation the global loop would have paid,
+/// with a bit-identical key.
+struct ShardStream<'t> {
+    state: StreamState<'t>,
     /// The settled top: current (stamp-validated) and affordable at settle
     /// time. `None` once the stream is drained.
     candidate: Option<Entry>,
+    /// The recorded `accepted` flag of a parked replay candidate; `None`
+    /// when the candidate came from a heap or the pool.
+    pending: Option<bool>,
+    /// The events this run observed — the shard's next transcript. `None`
+    /// when the run does not record, and always for the pool.
+    rec: Option<Vec<TEvent>>,
     pq_pops: u64,
+    /// Whether a replay diverged and fell back to a heap.
+    went_live: bool,
 }
 
 /// The backing store of a shard stream.
-enum StreamState {
+enum StreamState<'t> {
     /// A CELF max-heap: entries go stale and are re-keyed via the staleness
     /// stamps.
     Heap(BinaryHeap<Entry>),
-    /// The singleton pool's stream: a cursor over entries pre-sorted in pop
+    /// The singleton pool's stream: a cursor over entries sorted in pop
     /// order (descending [`Entry`] order — max key, ties to the smaller id).
     ///
     /// A pool photo shares no stored similarity pair with any other photo
@@ -153,74 +237,175 @@ enum StreamState {
     /// with sequential memory access instead of `O(log n)` sift-downs
     /// through a pool-sized heap.
     Frozen { entries: Vec<Entry>, cursor: usize },
+    /// A transcript recorded by the shard's last run, re-verified event by
+    /// event; it becomes a `Heap` when it goes live.
+    Replay { events: &'t [TEvent], cursor: usize },
 }
 
-impl ShardStream {
-    /// Advances until the top entry is current (its cached stamp matches;
-    /// frozen entries are always current) and affordable, parking it as the
-    /// candidate. Photos popped while unaffordable are dropped permanently —
-    /// the remaining budget only shrinks, exactly the global loop's drop
-    /// rule.
+impl ShardStream<'_> {
+    /// Advances until a candidate is parked or the stream drains: the top
+    /// entry must be current (its cached stamp matches; frozen and replayed
+    /// entries always are) and affordable. Photos popped while unaffordable
+    /// are dropped permanently — the remaining budget only shrinks, exactly
+    /// the global loop's drop rule — and recorded when the run records. A
+    /// replayed event that no longer holds falls through to
+    /// [`go_live`](Self::go_live).
     // phocus-lint: hot-kernel — CELF stream advance; runs once per merge-heap pop
     fn settle(
         &mut self,
-        inst: &Instance,
+        solver: &ShardedSolver<'_>,
+        s: usize,
         ev: &Evaluator<'_>,
         ver: &[u32],
         budget: u64,
         rule: GreedyRule,
     ) {
         debug_assert!(self.candidate.is_none());
-        match &mut self.state {
-            StreamState::Heap(heap) => {
-                while let Some(top) = heap.pop() {
-                    self.pq_pops += 1;
-                    let p = top.photo;
-                    if ev.is_selected(p) {
-                        continue;
+        loop {
+            match &mut self.state {
+                StreamState::Heap(heap) => {
+                    while let Some(top) = heap.pop() {
+                        self.pq_pops += 1;
+                        let p = top.photo;
+                        if ev.is_selected(p) {
+                            continue;
+                        }
+                        if !ev.fits(p, budget) {
+                            if let Some(rec) = &mut self.rec {
+                                rec.push(TEvent::Drop(p));
+                            }
+                            continue;
+                        }
+                        let stamp = ver[p.index()];
+                        if top.epoch == stamp {
+                            self.candidate = Some(top);
+                            return;
+                        }
+                        let delta = ev.gain(p);
+                        heap.push(Entry {
+                            key: rule.key(delta, solver.inst.cost(p)),
+                            photo: p,
+                            epoch: stamp,
+                        });
                     }
-                    if !ev.fits(p, budget) {
-                        continue;
-                    }
-                    let stamp = ver[p.index()];
-                    if top.epoch == stamp {
+                    return;
+                }
+                StreamState::Frozen { entries, cursor } => {
+                    while let Some(&top) = entries.get(*cursor) {
+                        *cursor += 1;
+                        self.pq_pops += 1;
+                        if ev.is_selected(top.photo) {
+                            continue;
+                        }
+                        if !ev.fits(top.photo, budget) {
+                            continue;
+                        }
                         self.candidate = Some(top);
                         return;
                     }
-                    let delta = ev.gain(p);
-                    heap.push(Entry {
-                        key: rule.key(delta, inst.cost(p)),
-                        photo: p,
-                        epoch: stamp,
-                    });
-                }
-            }
-            StreamState::Frozen { entries, cursor } => {
-                while let Some(&top) = entries.get(*cursor) {
-                    *cursor += 1;
-                    self.pq_pops += 1;
-                    if ev.is_selected(top.photo) {
-                        continue;
-                    }
-                    if !ev.fits(top.photo, budget) {
-                        continue;
-                    }
-                    self.candidate = Some(top);
                     return;
                 }
+                StreamState::Replay { events, cursor } => {
+                    let mut diverged = false;
+                    while let Some(&e) = events.get(*cursor) {
+                        self.pq_pops += 1;
+                        match e {
+                            TEvent::Drop(p) => {
+                                if ev.is_selected(p) {
+                                    *cursor += 1;
+                                    continue;
+                                }
+                                if !ev.fits(p, budget) {
+                                    *cursor += 1;
+                                    if let Some(rec) = &mut self.rec {
+                                        rec.push(TEvent::Drop(p));
+                                    }
+                                    continue;
+                                }
+                                // The recorded run dropped a photo that fits
+                                // this run: the transcript under-covers it.
+                                diverged = true;
+                                break;
+                            }
+                            TEvent::Cand {
+                                photo,
+                                key,
+                                accepted,
+                            } => {
+                                debug_assert!(!ev.is_selected(photo));
+                                *cursor += 1;
+                                self.candidate = Some(Entry {
+                                    key,
+                                    photo,
+                                    epoch: 0,
+                                });
+                                self.pending = Some(accepted);
+                                return;
+                            }
+                        }
+                    }
+                    if !diverged {
+                        return; // drained
+                    }
+                }
+            }
+            self.go_live(solver, s, ev, ver, budget, rule);
+        }
+    }
+
+    /// Abandons replay: rebuilds an exact heap over the shard's unselected,
+    /// still-affordable photos with freshly computed gains, stamped at the
+    /// current staleness versions. This is precisely the settled state the
+    /// from-scratch lazy heap represents, so the coordinator's view is
+    /// unchanged.
+    fn go_live(
+        &mut self,
+        solver: &ShardedSolver<'_>,
+        s: usize,
+        ev: &Evaluator<'_>,
+        ver: &[u32],
+        budget: u64,
+        rule: GreedyRule,
+    ) {
+        let mut ids: Vec<PhotoId> = Vec::new();
+        for &p in &solver.shard_photos[s] {
+            if ev.is_selected(p) {
+                continue;
+            }
+            if ev.fits(p, budget) {
+                ids.push(p);
+            } else if let Some(rec) = &mut self.rec {
+                // The rebuild excludes photos that no longer fit — exactly
+                // the photos a lazy heap would pop and drop later. Record
+                // those drops so the next transcript still covers them (the
+                // replay re-verifies each one against its own budget
+                // trajectory).
+                rec.push(TEvent::Drop(p));
             }
         }
+        let gains = ev.batch_gains(&ids);
+        let entries: Vec<Entry> = ids
+            .iter()
+            .zip(&gains)
+            .map(|(&p, &g)| Entry {
+                key: rule.key(g, solver.inst.cost(p)),
+                photo: p,
+                epoch: ver[p.index()],
+            })
+            .collect(); // phocus-lint: allow(alloc-hot) — go-live divergence fallback, once per demoted stream
+        self.state = StreamState::Heap(BinaryHeap::from(entries));
+        self.pending = None;
+        self.went_live = true;
     }
 }
 
 /// A coordinator heap entry: a shard's settled top, keyed for the merged
 /// argmax with the same ordering as the global CELF heap (max key, ties to
-/// the smaller photo id). Shared with the epoch-replay coordinator in
-/// [`crate::incremental`].
-pub(crate) struct MergeEntry {
-    pub(crate) key: f64,
-    pub(crate) photo: PhotoId,
-    pub(crate) shard: u32,
+/// the smaller photo id).
+struct MergeEntry {
+    key: f64,
+    photo: PhotoId,
+    shard: u32,
 }
 
 impl PartialEq for MergeEntry {
@@ -242,6 +427,17 @@ impl Ord for MergeEntry {
     }
 }
 
+/// What one coordinator run produced.
+pub(crate) struct Run {
+    /// The greedy outcome, with per-run work counters.
+    pub(crate) outcome: GreedyOutcome,
+    /// Per shard, the events the run observed — the shard's next
+    /// transcript (`None` for the pool). Empty unless the run records.
+    pub(crate) transcripts: Vec<Option<Vec<TEvent>>>,
+    /// Replay streams that diverged and went live.
+    pub(crate) went_live: usize,
+}
+
 /// A reusable component-sharded solver: labels the instance's shards,
 /// replays `S₀`, and runs the rule-independent seed sweep **once**, then
 /// solves any number of times (e.g. under both greedy rules, as
@@ -249,33 +445,26 @@ impl Ord for MergeEntry {
 #[derive(Debug)]
 pub struct ShardedSolver<'a> {
     inst: &'a Instance,
-    labels: ShardLabels,
+    /// Owned for one-shot solvers; lent by the epoch layer.
+    labels: Cow<'a, ShardLabels>,
     /// The shared arena with `S₀` replayed; cloned per solve (the clone
     /// shares the offset/weight layout and copies only the mutable state).
     base: Evaluator<'a>,
     /// Instrumentation already spent building `base` (subtracted from each
     /// solve's reported stats so they count per-solve work only).
     base_stats: EvalStats,
-    /// Epoch-0 marginal gains of every unselected affordable photo at the
-    /// post-`S₀` state, pre-partitioned by shard with ascending photo id
-    /// within each shard. Rule-independent: each solve derives its heap keys
-    /// as `rule.key(δ, cost)`, bit-identical to the global seeding.
-    seed_by_shard: Vec<Vec<(PhotoId, f64)>>,
-    /// The singleton pool's seed entries pre-sorted in pop order, one vector
-    /// per greedy rule (indexed by [`rule_index`]). Pool keys are frozen —
-    /// see [`StreamState::Frozen`] — so a cold solve memcpys the right
-    /// vector instead of re-keying and heapifying the (often largest) shard.
-    pool_sorted: Option<[Vec<Entry>; 2]>,
-}
-
-/// Index of `rule` into per-rule caches ([`ShardedSolver::pool_sorted`],
-/// the epoch layer's transcript caches).
-#[inline]
-pub(crate) fn rule_index(rule: GreedyRule) -> usize {
-    match rule {
-        GreedyRule::UnitCost => 0,
-        GreedyRule::CostBenefit => 1,
-    }
+    /// Each shard's photos left unselected at the base state, in ascending
+    /// id: what a stream is built from, and rebuilt from when it goes live.
+    shard_photos: Vec<Vec<PhotoId>>,
+    /// Seed gain of every photo a stream is built from (live shards and the
+    /// pool), by photo id, at the base state. Rule-independent: each solve
+    /// derives its heap keys as `rule.key(δ, cost)`, bit-identical to the
+    /// global seeding.
+    seed: Vec<f64>,
+    /// The epoch layer's per-shard transcripts (`None` = run live). A solver
+    /// given transcripts replays them and records every run; one-shot
+    /// solvers have none and do neither.
+    transcripts: Option<&'a [Option<RuleCache>]>,
 }
 
 impl<'a> ShardedSolver<'a> {
@@ -283,74 +472,78 @@ impl<'a> ShardedSolver<'a> {
     /// post-`S₀` state: the evaluator arena and the seed-gain sweep (one
     /// parallel batch through `par-exec`).
     pub fn new(inst: &'a Instance) -> Self {
-        Self::build(inst, shard_labels(inst), &mut EvalArena::new())
+        Self::build(
+            inst,
+            Cow::Owned(shard_labels(inst)),
+            &mut EvalArena::new(),
+            None,
+            None,
+        )
     }
 
-    /// [`new`](Self::new) drawing the base evaluator's buffers from
-    /// `scratch`. Bit-identical preparation; pair with
-    /// [`recycle`](Self::recycle) to return the buffers afterwards.
-    pub fn new_in(inst: &'a Instance, scratch: &mut SolveScratch) -> Self {
-        Self::build(inst, shard_labels(inst), &mut scratch.base_eval)
-    }
-
-    /// [`new_in`](Self::new_in) with the component labeling precomputed —
-    /// resident labels from the epoch layer or labels bulk-read from a
-    /// `phocus-pack` file skip the union-find pass of [`shard_labels`]. The
-    /// labels must equal `shard_labels(inst)` (the pack writer derives them
-    /// exactly so); everything downstream is bit-identical to
-    /// [`new`](Self::new).
+    /// [`new`](Self::new) with the component labeling precomputed — labels
+    /// bulk-read from a `phocus-pack` file, or `shard_labels(inst)` from a
+    /// fleet worker — drawing the base evaluator's buffers from `scratch`.
+    /// The labels must equal `shard_labels(inst)` (the pack writer derives
+    /// them exactly so); everything downstream is bit-identical to
+    /// [`new`](Self::new). Pair with [`recycle`](Self::recycle) to return
+    /// the buffers afterwards.
     pub fn new_in_with_labels(
         inst: &'a Instance,
         labels: ShardLabels,
         scratch: &mut SolveScratch,
     ) -> Self {
         debug_assert_eq!(labels.photo_shards().len(), inst.num_photos());
-        Self::build(inst, labels, &mut scratch.base_eval)
+        Self::build(inst, Cow::Owned(labels), &mut scratch.base_eval, None, None)
     }
 
-    fn build(inst: &'a Instance, labels: ShardLabels, arena: &mut EvalArena) -> Self {
+    /// The epoch layer's prepare: `transcripts` holds one slot per shard
+    /// (`Some` = replay it), and `pool_gain` caches the pool photos' seed
+    /// gains by photo id. The sweep covers only live shards and pool photos
+    /// without a cached gain, and fills the cache in.
+    pub(crate) fn resume(
+        inst: &'a Instance,
+        labels: &'a ShardLabels,
+        transcripts: &'a [Option<RuleCache>],
+        pool_gain: &mut [Option<f64>],
+    ) -> Self {
+        debug_assert_eq!(transcripts.len(), labels.num_shards());
+        Self::build(
+            inst,
+            Cow::Borrowed(labels),
+            &mut EvalArena::new(),
+            Some(transcripts),
+            Some(pool_gain),
+        )
+    }
+
+    fn build(
+        inst: &'a Instance,
+        labels: Cow<'a, ShardLabels>,
+        arena: &mut EvalArena,
+        transcripts: Option<&'a [Option<RuleCache>]>,
+        pool_gain: Option<&mut [Option<f64>]>,
+    ) -> Self {
         let mut base = Evaluator::new_in(inst, arena);
         for &p in inst.required() {
             base.add(p);
         }
-        // The seed sweep covers *every* unselected photo, not just the ones
+        // The sweep covers every unselected photo, not just the ones
         // affordable under the instance budget: affordability is applied at
         // stream-build time against the budget of each individual solve, so
         // one prepared solver serves a whole budget sweep
         // ([`solve_with_budget`](Self::solve_with_budget)) and the epoch
-        // layer's replay caches stay valid across budget changes.
-        let candidates: Vec<PhotoId> = (0..inst.num_photos() as u32)
-            .map(PhotoId)
-            .filter(|&p| !base.is_selected(p))
-            .collect(); // phocus-lint: allow(alloc-hot) — stream construction, once per run, not the pop loop
-        let gains = base.batch_gains(&candidates);
-        // phocus-lint: allow(alloc-hot) — stream construction, once per run
-        let mut seed_by_shard: Vec<Vec<(PhotoId, f64)>> = vec![Vec::new(); labels.num_shards()];
-        for (&p, &delta) in candidates.iter().zip(&gains) {
-            seed_by_shard[labels.shard_of(p)].push((p, delta));
-        }
+        // layer's pool cache stays valid across budget changes.
+        let (shard_photos, seed) = sweep(&base, &labels, transcripts, pool_gain, None);
         let base_stats = base.stats();
-        let pool_sorted = labels.singleton_pool().map(|pool| {
-            [GreedyRule::UnitCost, GreedyRule::CostBenefit].map(|rule| {
-                let mut entries: Vec<Entry> = seed_by_shard[pool]
-                    .iter()
-                    .map(|&(p, delta)| Entry {
-                        key: rule.key(delta, inst.cost(p)),
-                        photo: p,
-                        epoch: 0,
-                    })
-                    .collect(); // phocus-lint: allow(alloc-hot) — pool seed sort, once per run
-                entries.sort_unstable_by(|a, b| b.cmp(a));
-                entries
-            })
-        });
         ShardedSolver {
             inst,
             labels,
             base,
             base_stats,
-            seed_by_shard,
-            pool_sorted,
+            shard_photos,
+            seed,
+            transcripts,
         }
     }
 
@@ -359,9 +552,15 @@ impl<'a> ShardedSolver<'a> {
         &self.labels
     }
 
+    /// Gain evaluations the prepare paid (the `S₀` replay and seed sweep),
+    /// which no run's stats count.
+    pub(crate) fn prepare_gain_evals(&self) -> u64 {
+        self.base_stats.gain_evals
+    }
+
     /// Sharded equivalent of [`lazy_greedy`](crate::lazy_greedy).
     pub fn solve(&self, rule: GreedyRule) -> GreedyOutcome {
-        self.solve_inner(None, rule, None, self.inst.budget())
+        self.run(rule, self.inst.budget(), None).outcome
     }
 
     /// [`solve`](Self::solve) under an arbitrary budget `B'` instead of the
@@ -371,15 +570,31 @@ impl<'a> ShardedSolver<'a> {
     /// budget sweep — [`quality_curve`](crate::quality_curve) — prepare the
     /// sharded solver once.
     pub fn solve_with_budget(&self, rule: GreedyRule, budget: u64) -> GreedyOutcome {
-        self.solve_inner(None, rule, None, budget)
+        self.run(rule, budget, None).outcome
     }
 
     /// Sharded equivalent of [`lazy_greedy_from`](crate::lazy_greedy_from):
     /// resumes from an arbitrary initial selection. The cached seed gains do
     /// not apply to a warm start (they were computed at the post-`S₀` state),
-    /// so this path pays its own seed sweep, like the global solver.
+    /// so this path pays its own seed sweep over the photos still
+    /// affordable, like the global solver, and counts it as solve work.
     pub fn solve_from(&self, initial: &[PhotoId], rule: GreedyRule) -> GreedyOutcome {
-        self.solve_inner(Some(initial), rule, None, self.inst.budget())
+        let budget = self.inst.budget();
+        let mut base = self.base.clone();
+        for &p in initial {
+            base.add(p);
+        }
+        let (shard_photos, seed) = sweep(&base, &self.labels, None, None, Some(budget));
+        let warm = ShardedSolver {
+            inst: self.inst,
+            labels: Cow::Borrowed(&*self.labels),
+            base,
+            base_stats: self.base_stats,
+            shard_photos,
+            seed,
+            transcripts: None,
+        };
+        warm.run(rule, budget, None).outcome
     }
 
     /// [`solve`](Self::solve) drawing every per-solve allocation (evaluator
@@ -387,7 +602,7 @@ impl<'a> ShardedSolver<'a> {
     /// `scratch`, and returning the capacity there afterwards. Bit-identical
     /// to `solve` — see [`SolveScratch`].
     pub fn solve_scratch(&self, rule: GreedyRule, scratch: &mut SolveScratch) -> GreedyOutcome {
-        self.solve_inner(None, rule, Some(scratch), self.inst.budget())
+        self.run(rule, self.inst.budget(), Some(scratch)).outcome
     }
 
     /// Returns the prepared base evaluator's buffers to `scratch` for the
@@ -396,115 +611,86 @@ impl<'a> ShardedSolver<'a> {
         self.base.recycle(&mut scratch.base_eval);
     }
 
-    fn solve_inner(
+    /// Builds shard `s`'s stream for one run: its transcript when it has
+    /// one, else its affordable photos keyed from the seed sweep into `buf`
+    /// (recycled capacity or empty) — sorted into pop order for the pool,
+    /// heapified for any other shard.
+    fn stream(
         &self,
-        initial: Option<&[PhotoId]>,
-        rule: GreedyRule,
-        mut scratch: Option<&mut SolveScratch>,
+        s: usize,
+        mut buf: Vec<Entry>,
+        ev: &Evaluator<'_>,
         budget: u64,
-    ) -> GreedyOutcome {
+        rule: GreedyRule,
+    ) -> ShardStream<'a> {
+        let is_pool = Some(s) == self.labels.singleton_pool();
+        let state = match self.transcripts.and_then(|t| t[s].as_ref()) {
+            Some(per_rule) => StreamState::Replay {
+                events: &per_rule[rule_index(rule)],
+                cursor: 0,
+            },
+            None => {
+                // At stream-build time the evaluator holds exactly the state
+                // the seeds were swept at, so `ev.fits` reproduces the
+                // global seeding's filter for any budget.
+                buf.clear();
+                buf.extend(
+                    self.shard_photos[s]
+                        .iter()
+                        .filter(|&&p| ev.fits(p, budget))
+                        .map(|&p| Entry {
+                            key: rule.key(self.seed[p.index()], self.inst.cost(p)),
+                            photo: p,
+                            epoch: 0,
+                        }),
+                );
+                if is_pool {
+                    buf.sort_unstable_by(|a, b| b.cmp(a));
+                    StreamState::Frozen {
+                        entries: buf,
+                        cursor: 0,
+                    }
+                } else {
+                    StreamState::Heap(BinaryHeap::from(buf))
+                }
+            }
+        };
+        ShardStream {
+            state,
+            candidate: None,
+            pending: None,
+            rec: (self.transcripts.is_some() && !is_pool).then(Vec::new),
+            pq_pops: 0,
+            went_live: false,
+        }
+    }
+
+    /// One coordinator run under `rule` and `budget`, with every per-run
+    /// buffer drawn from (and returned to) `scratch` when one is given.
+    pub(crate) fn run(
+        &self,
+        rule: GreedyRule,
+        budget: u64,
+        mut scratch: Option<&mut SolveScratch>,
+    ) -> Run {
         let start = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
         let inst = self.inst;
-        let labels = &self.labels;
+        let pool = self.labels.singleton_pool();
         let mut ev = match scratch.as_deref_mut() {
             Some(sc) => self.base.clone_in(&mut sc.solve_eval),
             None => self.base.clone(),
         };
+        let mut streams: Vec<ShardStream<'a>> = (0..self.labels.num_shards())
+            .map(|s| {
+                let buf = scratch
+                    .as_deref_mut()
+                    .and_then(|sc| sc.entries.pop())
+                    .unwrap_or_default();
+                self.stream(s, buf, &ev, budget, rule)
+            })
+            .collect();
 
-        // The per-shard seed gains: the prepared sweep for a cold solve, or
-        // a fresh sweep at the warm-started state. Either way the entries
-        // within a shard are in ascending photo id, mirroring the global
-        // seeding scan order.
-        let warm_seeds: Option<Vec<Vec<(PhotoId, f64)>>> = initial.map(|init| {
-            for &p in init {
-                ev.add(p);
-            }
-            let candidates: Vec<PhotoId> = (0..inst.num_photos() as u32)
-                .map(PhotoId)
-                .filter(|&p| !ev.is_selected(p) && ev.fits(p, budget))
-                .collect();
-            let gains = ev.batch_gains(&candidates);
-            let mut by_shard = vec![Vec::new(); labels.num_shards()];
-            for (&p, &delta) in candidates.iter().zip(&gains) {
-                by_shard[labels.shard_of(p)].push((p, delta));
-            }
-            by_shard
-        });
-        let seeds = warm_seeds.as_ref().unwrap_or(&self.seed_by_shard);
-
-        // Build the per-shard streams. `make_stream` writes into a caller-
-        // provided buffer (empty on the fresh-allocation path, recycled on
-        // the scratch path) with identical entry values either way; with a
-        // scratch the shards are built serially so the recycled buffers can
-        // rotate through, without one they fan out through par-exec. Pop
-        // order is fully determined by the entry ordering, so all three
-        // paths are transcript-identical.
-        let pool = labels.singleton_pool();
-        // The prepared seeds cover every unselected photo; affordability is
-        // applied here against *this solve's* budget. At stream-build time
-        // the evaluator holds exactly the state the seeds were swept at
-        // (post-`S₀`, or the warm start), so `ev.fits` reproduces the filter
-        // the global seeding applies, for any budget.
-        let seed_ref = &ev;
-        let make_stream = |s: usize, mut buf: Vec<Entry>| -> ShardStream {
-            buf.clear();
-            if Some(s) == pool {
-                // Frozen pool stream: reuse the pre-sorted entries on the
-                // cold path; a warm start re-keys at the warm state (pool
-                // keys are frozen from the seed sweep on, whatever the
-                // initial selection) and sorts into pop order. Filtering the
-                // pre-sorted entries preserves their pop order.
-                match (&self.pool_sorted, initial.is_none()) {
-                    (Some(per_rule), true) => {
-                        buf.extend(
-                            per_rule[rule_index(rule)]
-                                .iter()
-                                .filter(|e| seed_ref.fits(e.photo, budget))
-                                .copied(),
-                        );
-                    }
-                    _ => {
-                        buf.extend(seeds[s].iter().filter_map(|&(p, delta)| {
-                            seed_ref.fits(p, budget).then_some(Entry {
-                                key: rule.key(delta, inst.cost(p)),
-                                photo: p,
-                                epoch: 0,
-                            })
-                        }));
-                        buf.sort_unstable_by(|a, b| b.cmp(a));
-                    }
-                }
-                return ShardStream {
-                    state: StreamState::Frozen {
-                        entries: buf,
-                        cursor: 0,
-                    },
-                    candidate: None,
-                    pq_pops: 0,
-                };
-            }
-            buf.extend(seeds[s].iter().filter_map(|&(p, delta)| {
-                seed_ref.fits(p, budget).then_some(Entry {
-                    key: rule.key(delta, inst.cost(p)),
-                    photo: p,
-                    epoch: 0,
-                })
-            }));
-            ShardStream {
-                state: StreamState::Heap(BinaryHeap::from(buf)),
-                candidate: None,
-                pq_pops: 0,
-            }
-        };
-        let mut streams: Vec<ShardStream> = match scratch.as_deref_mut() {
-            Some(sc) => (0..labels.num_shards())
-                .map(|s| make_stream(s, sc.entries.pop().unwrap_or_default()))
-                .collect(),
-            None => par_exec::par_map_indexed(labels.num_shards(), |s| make_stream(s, Vec::new())),
-        };
-
-        // Per-photo staleness versions; all zero, matching the epoch-0 seed
-        // entries.
+        // Per-photo staleness versions; all zero, matching the seed entries.
         let (mut ver, mut changed) = match scratch.as_deref_mut() {
             Some(sc) => {
                 let mut ver = std::mem::take(&mut sc.ver);
@@ -520,7 +706,7 @@ impl<'a> ShardedSolver<'a> {
         // The merged frontier: at most one settled candidate per shard.
         let mut merge: BinaryHeap<MergeEntry> = BinaryHeap::new();
         for (s, stream) in streams.iter_mut().enumerate() {
-            stream.settle(inst, &ev, &ver, budget, rule);
+            stream.settle(self, s, &ev, &ver, budget, rule);
             if let Some(c) = &stream.candidate {
                 merge.push(MergeEntry {
                     key: c.key,
@@ -535,13 +721,25 @@ impl<'a> ShardedSolver<'a> {
         while let Some(top) = merge.pop() {
             merge_pops += 1;
             let s = top.shard as usize;
-            streams[s].candidate = None;
-            if ev.fits(top.photo, budget) {
+            let stream = &mut streams[s];
+            stream.candidate = None;
+            let recorded = stream.pending.take();
+            let fit = ev.fits(top.photo, budget);
+            if let Some(rec) = &mut stream.rec {
+                rec.push(TEvent::Cand {
+                    photo: top.photo,
+                    key: top.key,
+                    accepted: fit,
+                });
+            }
+            if fit {
                 lazy_accepts += 1;
-                if Some(s) == pool {
+                if Some(s) == pool || recorded.is_some() {
                     // A pool accept raises only its own coverage (no stored
                     // pair links it to anyone), and the frozen pool stream
-                    // never reads stamps: no propagation to do.
+                    // never reads stamps; a replayed accept changes coverage
+                    // only inside its shard, whose stream reads no stamps
+                    // while it replays. Neither has anything to propagate.
                     ev.add(top.photo);
                 } else {
                     // Accept, then bump the version of every photo whose
@@ -553,8 +751,13 @@ impl<'a> ShardedSolver<'a> {
             }
             // Otherwise: parked before the budget tightened; global CELF
             // drops such photos at pop time, and they can never fit again.
-            streams[s].settle(inst, &ev, &ver, budget, rule);
-            if let Some(c) = &streams[s].candidate {
+            if recorded.is_some_and(|accepted| accepted != fit) {
+                // The recorded run decided this candidate the other way, so
+                // the rest of its transcript describes another trajectory.
+                stream.go_live(self, s, &ev, &ver, budget, rule);
+            }
+            stream.settle(self, s, &ev, &ver, budget, rule);
+            if let Some(c) = &stream.candidate {
                 merge.push(MergeEntry {
                     key: c.key,
                     photo: c.photo,
@@ -579,20 +782,76 @@ impl<'a> ShardedSolver<'a> {
                 elapsed: start.elapsed(),
             },
         };
+        let went_live = streams.iter().filter(|s| s.went_live).count();
+        let transcripts = match self.transcripts {
+            Some(_) => streams.iter_mut().map(|s| s.rec.take()).collect(),
+            None => Vec::new(),
+        };
         if let Some(sc) = scratch {
             ev.recycle(&mut sc.solve_eval);
             sc.ver = ver;
             sc.changed = changed;
             for stream in streams {
-                let buf = match stream.state {
-                    StreamState::Heap(heap) => heap.into_vec(),
-                    StreamState::Frozen { entries, .. } => entries,
-                };
-                sc.entries.push(buf);
+                match stream.state {
+                    StreamState::Heap(heap) => sc.entries.push(heap.into_vec()),
+                    StreamState::Frozen { entries, .. } => sc.entries.push(entries),
+                    StreamState::Replay { .. } => {}
+                }
             }
         }
-        outcome
+        Run {
+            outcome,
+            transcripts,
+            went_live,
+        }
     }
+}
+
+/// Lists each shard's photos left unselected by `base` (ascending id) and
+/// sweeps the seed gains the streams are built from, in one parallel batch:
+/// every listed photo except those of shards replaying a transcript, and
+/// pool photos whose gain `pool_gain` already caches (the sweep fills the
+/// cache in). A warm start passes `fits_under` to list and sweep only the
+/// photos it can still afford. Returns the lists and the dense seed vector.
+fn sweep(
+    base: &Evaluator<'_>,
+    labels: &ShardLabels,
+    transcripts: Option<&[Option<RuleCache>]>,
+    mut pool_gain: Option<&mut [Option<f64>]>,
+    fits_under: Option<u64>,
+) -> (Vec<Vec<PhotoId>>, Vec<f64>) {
+    let pool = labels.singleton_pool();
+    let num_photos = base.instance().num_photos();
+    // phocus-lint: allow(alloc-hot) — stream inputs, once per prepare
+    let mut shard_photos: Vec<Vec<PhotoId>> = vec![Vec::new(); labels.num_shards()];
+    let mut seed = vec![0.0f64; num_photos]; // phocus-lint: allow(alloc-hot) — stream inputs, once per prepare
+    let mut need: Vec<PhotoId> = Vec::new();
+    for p in (0..num_photos as u32).map(PhotoId) {
+        if base.is_selected(p) || fits_under.is_some_and(|b| !base.fits(p, b)) {
+            continue;
+        }
+        let s = labels.shard_of(p);
+        shard_photos[s].push(p);
+        if Some(s) == pool {
+            if let Some(g) = pool_gain.as_deref().and_then(|cache| cache[p.index()]) {
+                seed[p.index()] = g;
+                continue;
+            }
+        } else if transcripts.is_some_and(|t| t[s].is_some()) {
+            continue;
+        }
+        need.push(p);
+    }
+    let gains = base.batch_gains(&need);
+    for (&p, &g) in need.iter().zip(&gains) {
+        seed[p.index()] = g;
+        if let Some(cache) = pool_gain.as_deref_mut() {
+            if Some(labels.shard_of(p)) == pool {
+                cache[p.index()] = Some(g);
+            }
+        }
+    }
+    (shard_photos, seed)
 }
 
 /// Bumps the staleness version of every photo whose gain read-set an accept
@@ -604,10 +863,8 @@ impl<'a> ShardedSolver<'a> {
 /// neighbors' coverage — or, when those rows are longer than the context
 /// (or the context is dense/unit, where one change dirties every member),
 /// bump every member once. Both mark a superset of the affected photos, so
-/// invalidation never costs more than O(|q|) per changed context. Shared by
-/// the prepared solver and the epoch-replay coordinator in
-/// [`crate::incremental`].
-pub(crate) fn propagate_changes(inst: &Instance, changed: &[(SubsetId, u32)], ver: &mut [u32]) {
+/// invalidation never costs more than O(|q|) per changed context.
+fn propagate_changes(inst: &Instance, changed: &[(SubsetId, u32)], ver: &mut [u32]) {
     let mut i = 0;
     while i < changed.len() {
         let q = changed[i].0;
@@ -758,7 +1015,8 @@ mod tests {
             for rule in [GreedyRule::UnitCost, GreedyRule::CostBenefit] {
                 let fresh_solver = ShardedSolver::new(inst);
                 let fresh = fresh_solver.solve(rule);
-                let solver = ShardedSolver::new_in(inst, &mut scratch);
+                let solver =
+                    ShardedSolver::new_in_with_labels(inst, shard_labels(inst), &mut scratch);
                 let reused = solver.solve_scratch(rule, &mut scratch);
                 solver.recycle(&mut scratch);
                 assert_eq!(reused.selected, fresh.selected, "selection ({rule:?})");
@@ -775,15 +1033,60 @@ mod tests {
     }
 
     #[test]
-    fn main_algorithm_scratch_matches_sharded() {
+    fn main_algorithm_packed_matches_sharded() {
+        // One scratch reused across tenants, labels computed per tenant:
+        // the fleet engine's per-tenant solve.
         let mut scratch = SolveScratch::new();
         for seed in 0..3 {
             let inst = random_instance(seed, &RandomInstanceConfig::default()).sparsify(0.85);
             let fresh = crate::main_algorithm_sharded(&inst);
-            let reused = crate::main_algorithm_scratch(&inst, &mut scratch);
+            let reused = crate::main_algorithm_packed(&inst, shard_labels(&inst), &mut scratch);
             assert_eq!(reused.best.selected, fresh.best.selected);
             assert_eq!(reused.best.score.to_bits(), fresh.best.score.to_bits());
             assert_eq!(reused.winner, fresh.winner);
+        }
+    }
+
+    /// Everything in `RunStats` but the wall clock.
+    fn work(out: &GreedyOutcome) -> [u64; 4] {
+        let st = &out.stats;
+        [st.gain_evals, st.sim_ops, st.pq_pops, st.lazy_accepts]
+    }
+
+    #[test]
+    fn recording_run_matches_solve() {
+        // A resumed solver with nothing to replay runs every stream live and
+        // records it: same selection, score bits and work counters as a
+        // one-shot solve, and a transcript for every shard but the pool.
+        for seed in 0..4 {
+            let inst = random_instance(seed, &RandomInstanceConfig::default());
+            for inst in [inst.clone(), inst.sparsify(0.8), inst.with_unit_sims()] {
+                let labels = shard_labels(&inst);
+                let caches: Vec<Option<RuleCache>> = vec![None; labels.num_shards()];
+                let mut pool_gain = vec![None; inst.num_photos()];
+                let recording = ShardedSolver::resume(&inst, &labels, &caches, &mut pool_gain);
+                let one_shot = ShardedSolver::new(&inst);
+                for rule in [GreedyRule::UnitCost, GreedyRule::CostBenefit] {
+                    let run = recording.run(rule, inst.budget(), None);
+                    let solved = one_shot.solve(rule);
+                    assert_eq!(
+                        run.outcome.selected, solved.selected,
+                        "selection ({rule:?})"
+                    );
+                    assert_eq!(run.outcome.score.to_bits(), solved.score.to_bits());
+                    assert_eq!(work(&run.outcome), work(&solved), "counters ({rule:?})");
+                    assert_eq!(run.went_live, 0);
+                    assert_eq!(run.transcripts.len(), labels.num_shards());
+                    for (s, t) in run.transcripts.iter().enumerate() {
+                        assert_eq!(t.is_none(), Some(s) == labels.singleton_pool(), "shard {s}");
+                    }
+                }
+                assert_eq!(
+                    recording.prepare_gain_evals(),
+                    one_shot.prepare_gain_evals(),
+                    "an all-live resume sweeps what a one-shot prepare does"
+                );
+            }
         }
     }
 

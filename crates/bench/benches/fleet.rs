@@ -27,7 +27,7 @@
 //! * `fleet_solver` — the isolated arena effect: the same pre-represented
 //!   tenant instances solved back-to-back, `fresh` allocating per tenant
 //!   (`main_algorithm_sharded`) vs `reuse` drawing from one shared scratch
-//!   (`main_algorithm_scratch`).
+//!   (`main_algorithm_packed` on freshly computed labels).
 //! * `fleet_scaling` — the end-to-end batch at 1/2/4 worker threads
 //!   (tenants dispatch largest-first across the persistent pool).
 //!
@@ -36,8 +36,8 @@
 //! from per-tenant wall clocks, not from criterion's per-iteration mean.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use par_algo::{main_algorithm_scratch, main_algorithm_sharded, online_bound, SolveScratch};
-use par_core::{Instance, InstanceBuilder, PhotoId};
+use par_algo::{main_algorithm_packed, main_algorithm_sharded, online_bound, SolveScratch};
+use par_core::{shard_labels, Instance, InstanceBuilder, PhotoId};
 use par_datasets::{generate_fleet, FleetConfig};
 use par_embed::{ContextVector, ContextualSimilarity};
 use par_exec::Parallelism;
@@ -160,7 +160,8 @@ fn bench_fleet_solver(c: &mut Criterion) {
             let mut scratch = SolveScratch::default();
             let mut acc = 0.0f64;
             for inst in &instances {
-                acc += main_algorithm_scratch(inst, &mut scratch).best.score;
+                let labels = shard_labels(inst);
+                acc += main_algorithm_packed(inst, labels, &mut scratch).best.score;
             }
             std::hint::black_box(acc)
         })
@@ -224,7 +225,11 @@ fn bench_fleet_latency(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("median_tenant", "solve"), |b| {
         let mut scratch = SolveScratch::default();
-        b.iter(|| std::hint::black_box(main_algorithm_scratch(&inst[0], &mut scratch).best.score))
+        b.iter(|| {
+            let labels = shard_labels(&inst[0]);
+            let outcome = main_algorithm_packed(&inst[0], labels, &mut scratch);
+            std::hint::black_box(outcome.best.score)
+        })
     });
     group.finish();
 }

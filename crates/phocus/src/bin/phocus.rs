@@ -25,10 +25,10 @@ use par_datasets::{
     Universe,
 };
 use phocus::{
-    render_report, representation::RepresentationConfig, representation::Sparsification, run_suite,
-    ActionLadder, ArchiveSession, Catalog, CatalogBuilder, EpochSolve, FleetEngine,
-    FleetEngineConfig, FleetTenant, PackedTenant, Parallelism, Phocus, PhocusConfig, PhocusError,
-    SuiteConfig,
+    fractional_budget, render_report, representation::RepresentationConfig,
+    representation::Sparsification, run_suite, ActionLadder, ArchiveSession, Catalog,
+    CatalogBuilder, EpochSolve, FleetEngine, FleetEngineConfig, FleetTenant, PackedTenant,
+    Parallelism, Phocus, PhocusConfig, PhocusError, SuiteConfig, TenantOutcome,
 };
 use std::process::ExitCode;
 
@@ -99,9 +99,9 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "demo" => cmd_demo(),
         "table2" => cmd_table2(rest),
-        "solve" => cmd_solve(rest),
+        "solve" => with_threads(rest, cmd_solve),
         "suite" => cmd_suite(rest),
-        "compress" => cmd_compress(rest),
+        "compress" => with_threads(rest, cmd_compress),
         "export" => cmd_export(rest),
         "plan" => cmd_plan(rest),
         "serve-batch" => cmd_serve_batch(rest),
@@ -379,6 +379,19 @@ fn cmd_table2(rest: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Runs `cmd` with its `--threads` parallelism installed for the whole
+/// command, so every stage of it runs at that thread count.
+fn with_threads(
+    rest: &[String],
+    cmd: fn(&[String]) -> Result<(), CliError>,
+) -> Result<(), CliError> {
+    let threads: usize = parse(rest, "--threads", 0)?;
+    let prev = Parallelism::with_threads(threads).install_global();
+    let result = cmd(rest);
+    prev.install_global();
+    result
+}
+
 fn cmd_solve(rest: &[String]) -> Result<(), CliError> {
     let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
     let budget = budget_bytes(rest, 10.0)?;
@@ -411,8 +424,11 @@ fn cmd_solve(rest: &[String]) -> Result<(), CliError> {
         universe.num_subsets(),
         universe.total_cost() as f64 / 1e6
     );
-    let report = solver.solve(&universe, budget)?;
+    // Represent once, under the command's parallelism, for the solve, the
+    // report and `--out` alike.
+    let t0 = std::time::Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
     let inst = phocus::represent(&universe, budget, &representation)?;
+    let report = solver.solve_instance(&inst, t0.elapsed());
     print!("{}", render_report(&inst, &report));
     if let Some(out) = opt(rest, "--out") {
         // One retained photo per line: id, byte cost, name.
@@ -428,14 +444,6 @@ fn cmd_solve(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_compress(rest: &[String]) -> Result<(), CliError> {
-    let threads: usize = parse(rest, "--threads", 0)?;
-    let prev = Parallelism::with_threads(threads).install_global();
-    let result = run_compress(rest);
-    prev.install_global();
-    result
-}
-
-fn run_compress(rest: &[String]) -> Result<(), CliError> {
     let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
     let budget = budget_bytes(rest, 2.0)?;
     let seed: u64 = parse(rest, "--seed", 42)?;
@@ -585,7 +593,6 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
     let budget_frac: f64 = parse(rest, "--budget-frac", 0.25)?;
     let fixed_budget = budget_bytes(rest, 0.0)?;
     let threads: usize = parse(rest, "--threads", 0)?;
-    let out_dir = opt(rest, "--out-dir");
     if !(0.0..=1.0).contains(&budget_frac) || budget_frac.is_nan() {
         return Err(CliError::usage(format!(
             "--budget-frac must be in [0, 1], got {budget_frac}"
@@ -593,116 +600,39 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
     }
 
     let paths = read_tenant_list(&list)?;
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| PhocusError::Io {
-            path: dir.clone(),
-            message: e.to_string(),
-        })?;
-    }
-
     let representation = repr_from_flags(rest)?;
 
     // Load every tenant up front; a tenant whose file is unreadable or
     // malformed fails *that tenant*, never the batch.
-    let mut loaded: Vec<Result<FleetTenant, PhocusError>> = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let tenant = read_file(path).and_then(|text| {
-            let universe = par_datasets::from_text(&text).map_err(PhocusError::Dataset)?;
-            let budget = if fixed_budget > 0 {
-                fixed_budget
-            } else {
-                ((universe.total_cost() as f64 * budget_frac) as u64).max(1)
-            };
-            Ok(FleetTenant { universe, budget })
-        });
-        loaded.push(tenant);
-    }
-    let solvable: Vec<FleetTenant> = loaded.iter().filter_map(|t| t.as_ref().ok()).cloned().collect();
-
-    let t0 = std::time::Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported batch throughput line only
+    let loaded: Vec<(String, Result<FleetTenant, PhocusError>)> = paths
+        .into_iter()
+        .map(|path| {
+            let tenant = read_file(&path).and_then(|text| {
+                let universe = par_datasets::from_text(&text).map_err(PhocusError::Dataset)?;
+                let budget = if fixed_budget > 0 {
+                    fixed_budget
+                } else {
+                    fractional_budget(&universe, budget_frac)
+                };
+                Ok(FleetTenant { universe, budget })
+            });
+            (path, tenant)
+        })
+        .collect();
     let engine = FleetEngine::new(FleetEngineConfig {
         representation,
         parallelism: Parallelism::with_threads(threads),
         reuse_arenas: !flag(rest, "--fresh-arenas"),
     });
-    let outcomes = engine.run(&solvable);
-    let batch_secs = t0.elapsed().as_secs_f64();
-
-    // Report in input order, interleaving load failures with solve outcomes.
-    let mut failed = 0usize;
-    let mut next_outcome = outcomes.into_iter();
-    for (i, (path, tenant)) in paths.iter().zip(&loaded).enumerate() {
-        match tenant {
-            Err(e) => {
-                failed += 1;
-                println!("fail\t{path}: {e}");
-            }
-            Ok(_) => {
-                let Some(outcome) = next_outcome.next() else {
-                    // One engine outcome per loaded tenant, by construction.
-                    unreachable!("engine returned fewer outcomes than tenants")
-                };
-                match &outcome.result {
-                    Err(e) => {
-                        failed += 1;
-                        println!("fail\t{path}: {e}");
-                    }
-                    Ok(report) => {
-                        println!(
-                            "ok\t{}\tphotos={}\tretained={}\tcost_mb={:.2}\tscore={:.3}\tms={:.1}",
-                            outcome.name,
-                            outcome.photos,
-                            report.selected.len(),
-                            report.cost as f64 / 1e6,
-                            report.score,
-                            outcome.latency.as_secs_f64() * 1e3
-                        );
-                        if let Some(dir) = &out_dir {
-                            let file = format!(
-                                "{dir}/{i:05}_{}.tsv",
-                                outcome.name.replace(['/', '\\'], "_")
-                            );
-                            let mut text = String::new();
-                            for &p in &report.selected {
-                                text.push_str(&format!("{}\n", p.0));
-                            }
-                            write_file(&file, &text)?;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let total = paths.len();
-    println!(
-        "batch\ttenants={total}\tok={}\tfailed={failed}\tinst_per_sec={:.2}",
-        total - failed,
-        (total - failed) as f64 / batch_secs.max(1e-9)
-    );
-    if failed > 0 {
-        return Err(CliError::PartialFailure {
-            failed,
-            total,
-            what: "tenants",
-        });
-    }
-    Ok(())
+    serve_and_report(&loaded, opt(rest, "--out-dir"), |t| engine.run(t))
 }
 
 /// `serve-batch --catalog`: the catalog-resident serving path. Tenants come
 /// from pack files — no text parse, no representation, no union-find —
 /// budgets and names from the resident index. Reporting, failure isolation,
-/// and exit codes mirror the universe-list path.
+/// and exit codes are the universe-list path's.
 fn serve_batch_catalog(rest: &[String], dir: &str) -> Result<(), CliError> {
     let threads: usize = parse(rest, "--threads", 0)?;
-    let out_dir = opt(rest, "--out-dir");
-    if let Some(d) = &out_dir {
-        std::fs::create_dir_all(d).map_err(|e| PhocusError::Io {
-            path: d.clone(),
-            message: e.to_string(),
-        })?;
-    }
-
     let catalog = Catalog::open(dir)?;
     if catalog.entries().is_empty() {
         return Err(CliError::usage(format!("catalog {dir} has no tenants")));
@@ -710,70 +640,92 @@ fn serve_batch_catalog(rest: &[String], dir: &str) -> Result<(), CliError> {
 
     // Load every pack up front; a stale checksum or corrupt pack fails
     // *that tenant*, never the batch — same isolation as the list path.
-    let mut loaded: Vec<Result<PackedTenant, PhocusError>> =
-        Vec::with_capacity(catalog.entries().len());
-    for entry in catalog.entries() {
-        loaded.push(catalog.load(entry).map(|packed| PackedTenant {
-            name: entry.name.clone(),
-            packed,
-        }));
-    }
-    let solvable: Vec<PackedTenant> = loaded.iter().filter_map(|t| t.as_ref().ok()).cloned().collect();
-
-    let t0 = std::time::Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported batch throughput line only
+    let loaded: Vec<(String, Result<PackedTenant, PhocusError>)> = catalog
+        .entries()
+        .iter()
+        .map(|entry| {
+            let tenant = catalog.load(entry).map(|packed| PackedTenant {
+                name: entry.name.clone(),
+                packed,
+            });
+            (entry.name.clone(), tenant)
+        })
+        .collect();
     let engine = FleetEngine::new(FleetEngineConfig {
         representation: RepresentationConfig::default(), // unused on the packed path
         parallelism: Parallelism::with_threads(threads),
         reuse_arenas: !flag(rest, "--fresh-arenas"),
     });
-    let outcomes = engine.run_packed(&solvable);
+    serve_and_report(&loaded, opt(rest, "--out-dir"), |t| engine.run_packed(t))
+}
+
+/// Serves the tenants of a batch that loaded, through `serve`, and reports
+/// every tenant in input order: an `ok` line per solved tenant (its
+/// solution written under `out_dir`), a `fail` line naming the tenant's
+/// source for each load or solve failure, then the batch line. Any failure
+/// makes the batch a partial failure (exit 5).
+fn serve_and_report<T: Clone>(
+    loaded: &[(String, Result<T, PhocusError>)],
+    out_dir: Option<String>,
+    serve: impl FnOnce(&[T]) -> Vec<TenantOutcome>,
+) -> Result<(), CliError> {
+    if let Some(dir) = &out_dir {
+        std::fs::create_dir_all(dir).map_err(|e| PhocusError::Io {
+            path: dir.clone(),
+            message: e.to_string(),
+        })?;
+    }
+    let solvable: Vec<T> = loaded
+        .iter()
+        .filter_map(|(_, t)| t.as_ref().ok())
+        .cloned()
+        .collect();
+    let t0 = std::time::Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported batch throughput line only
+    let outcomes = serve(&solvable);
     let batch_secs = t0.elapsed().as_secs_f64();
 
     let mut failed = 0usize;
     let mut next_outcome = outcomes.into_iter();
-    for (i, (entry, tenant)) in catalog.entries().iter().zip(&loaded).enumerate() {
-        match tenant {
+    for (i, (source, tenant)) in loaded.iter().enumerate() {
+        if let Err(e) = tenant {
+            failed += 1;
+            println!("fail\t{source}: {e}");
+            continue;
+        }
+        let Some(outcome) = next_outcome.next() else {
+            // One engine outcome per loaded tenant, by construction.
+            unreachable!("engine returned fewer outcomes than tenants")
+        };
+        match &outcome.result {
             Err(e) => {
                 failed += 1;
-                println!("fail\t{}: {e}", entry.name);
+                println!("fail\t{source}: {e}");
             }
-            Ok(_) => {
-                let Some(outcome) = next_outcome.next() else {
-                    // One engine outcome per loaded tenant, by construction.
-                    unreachable!("engine returned fewer outcomes than tenants")
-                };
-                match &outcome.result {
-                    Err(e) => {
-                        failed += 1;
-                        println!("fail\t{}: {e}", entry.name);
+            Ok(report) => {
+                println!(
+                    "ok\t{}\tphotos={}\tretained={}\tcost_mb={:.2}\tscore={:.3}\tms={:.1}",
+                    outcome.name,
+                    outcome.photos,
+                    report.selected.len(),
+                    report.cost as f64 / 1e6,
+                    report.score,
+                    outcome.latency.as_secs_f64() * 1e3
+                );
+                if let Some(dir) = &out_dir {
+                    let file = format!(
+                        "{dir}/{i:05}_{}.tsv",
+                        outcome.name.replace(['/', '\\'], "_")
+                    );
+                    let mut text = String::new();
+                    for &p in &report.selected {
+                        text.push_str(&format!("{}\n", p.0));
                     }
-                    Ok(report) => {
-                        println!(
-                            "ok\t{}\tphotos={}\tretained={}\tcost_mb={:.2}\tscore={:.3}\tms={:.1}",
-                            outcome.name,
-                            outcome.photos,
-                            report.selected.len(),
-                            report.cost as f64 / 1e6,
-                            report.score,
-                            outcome.latency.as_secs_f64() * 1e3
-                        );
-                        if let Some(d) = &out_dir {
-                            let file = format!(
-                                "{d}/{i:05}_{}.tsv",
-                                outcome.name.replace(['/', '\\'], "_")
-                            );
-                            let mut text = String::new();
-                            for &p in &report.selected {
-                                text.push_str(&format!("{}\n", p.0));
-                            }
-                            write_file(&file, &text)?;
-                        }
-                    }
+                    write_file(&file, &text)?;
                 }
             }
         }
     }
-    let total = catalog.entries().len();
+    let total = loaded.len();
     println!(
         "batch\ttenants={total}\tok={}\tfailed={failed}\tinst_per_sec={:.2}",
         total - failed,
@@ -863,7 +815,7 @@ fn cmd_catalog_build(rest: &[String]) -> Result<(), CliError> {
         let budget = if fixed_budget > 0 {
             fixed_budget
         } else {
-            ((universe.total_cost() as f64 * budget_frac) as u64).max(1)
+            fractional_budget(&universe, budget_frac)
         };
         let inst = phocus::represent(&universe, budget, &representation)?;
         let bytes = par_core::pack_instance(&inst).map_err(PhocusError::from)?;

@@ -35,11 +35,8 @@
 
 use crate::error::{PhocusError, Result};
 use crate::representation::{represent, RepresentationConfig};
-use par_algo::{
-    main_algorithm_packed, main_algorithm_scratch, main_algorithm_sharded, GreedyRule,
-    SolveScratch,
-};
-use par_core::{PackedInstance, PhotoId};
+use par_algo::{main_algorithm_packed, main_algorithm_sharded, GreedyRule, SolveScratch};
+use par_core::{shard_labels, Instance, PackedInstance, PhotoId, ShardLabels};
 use par_datasets::Universe;
 use par_exec::Parallelism;
 use std::time::{Duration, Instant};
@@ -150,34 +147,17 @@ impl FleetEngine {
     /// to solving each tenant alone with [`crate::Phocus`] under the same
     /// representation.
     pub fn run(&self, tenants: &[FleetTenant]) -> Vec<TenantOutcome> {
-        let prev = self.config.parallelism.install_global();
-        let outcomes = self.run_inner(tenants);
-        prev.install_global();
-        outcomes
-    }
-
-    fn run_inner(&self, tenants: &[FleetTenant]) -> Vec<TenantOutcome> {
-        // Largest-first (LPT): descending photo count, ties by input order,
-        // so the schedule is deterministic.
-        let mut order: Vec<usize> = (0..tenants.len()).collect();
-        order.sort_by(|&a, &b| {
-            tenants[b]
-                .universe
-                .num_photos()
-                .cmp(&tenants[a].universe.num_photos())
-                .then(a.cmp(&b))
-        });
-        // Each pool participant owns one scratch for its whole stream of
-        // tenants; every outcome is a pure function of the tenant (the
-        // arena-reset invariant), so the nondeterministic work assignment
-        // cannot leak into results.
-        let mut indexed: Vec<(usize, TenantOutcome)> =
-            par_exec::par_map_dynamic(order.len(), SolveScratch::default, |scratch, k| {
-                let i = order[k];
-                (i, self.solve_tenant(&tenants[i], scratch))
-            });
-        indexed.sort_unstable_by_key(|&(i, _)| i);
-        indexed.into_iter().map(|(_, o)| o).collect()
+        self.schedule(
+            tenants,
+            |t| t.universe.num_photos(),
+            |t, scratch| {
+                let t0 = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported latency field only
+                match represent(&t.universe, t.budget, &self.config.representation) {
+                    Ok(inst) => self.solve(&t.universe.name, &inst, None, scratch, t0),
+                    Err(e) => TenantOutcome::failed(t, e),
+                }
+            },
+        )
     }
 
     /// Solves a batch of **pre-represented** tenants (catalog pack loads),
@@ -188,62 +168,63 @@ impl FleetEngine {
     /// Outcomes are bit-identical to [`run`](Self::run) over the universes
     /// the packs were built from, under the same representation.
     pub fn run_packed(&self, tenants: &[PackedTenant]) -> Vec<TenantOutcome> {
+        self.schedule(
+            tenants,
+            |t| t.packed.instance.num_photos(),
+            |t, scratch| {
+                let t0 = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported latency field only
+                let packed = &t.packed;
+                self.solve(&t.name, &packed.instance, Some(&packed.labels), scratch, t0)
+            },
+        )
+    }
+
+    /// Runs `solve` over `tenants` under the configured parallelism and
+    /// returns the outcomes in input order. Largest-first (LPT): descending
+    /// `size`, ties by input order, so the schedule is deterministic. Each
+    /// pool participant owns one scratch for its whole stream of tenants;
+    /// every outcome is a pure function of the tenant (the arena-reset
+    /// invariant), so the nondeterministic work assignment cannot leak into
+    /// results.
+    fn schedule<T: Sync>(
+        &self,
+        tenants: &[T],
+        size: impl Fn(&T) -> usize,
+        solve: impl Fn(&T, &mut SolveScratch) -> TenantOutcome + Sync,
+    ) -> Vec<TenantOutcome> {
         let prev = self.config.parallelism.install_global();
         let mut order: Vec<usize> = (0..tenants.len()).collect();
-        order.sort_by(|&a, &b| {
-            tenants[b]
-                .packed
-                .instance
-                .num_photos()
-                .cmp(&tenants[a].packed.instance.num_photos())
-                .then(a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| size(&tenants[b]).cmp(&size(&tenants[a])).then(a.cmp(&b)));
         let mut indexed: Vec<(usize, TenantOutcome)> =
             par_exec::par_map_dynamic(order.len(), SolveScratch::default, |scratch, k| {
                 let i = order[k];
-                (i, self.solve_packed_tenant(&tenants[i], scratch))
+                (i, solve(&tenants[i], scratch))
             });
         indexed.sort_unstable_by_key(|&(i, _)| i);
-        let outcomes = indexed.into_iter().map(|(_, o)| o).collect();
         prev.install_global();
-        outcomes
+        indexed.into_iter().map(|(_, o)| o).collect()
     }
 
-    fn solve_packed_tenant(&self, tenant: &PackedTenant, scratch: &mut SolveScratch) -> TenantOutcome {
-        let t0 = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported latency field only
-        let inst = &tenant.packed.instance;
+    /// Runs Algorithm 1 on one represented tenant — out of `scratch`, on
+    /// `labels` or freshly computed ones, when arena reuse is on — and
+    /// reports it with the latency since `t0`.
+    fn solve(
+        &self,
+        name: &str,
+        inst: &Instance,
+        labels: Option<&ShardLabels>,
+        scratch: &mut SolveScratch,
+        t0: Instant,
+    ) -> TenantOutcome {
         let outcome = if self.config.reuse_arenas {
-            main_algorithm_packed(inst, tenant.packed.labels.clone(), scratch)
+            let labels = labels.map_or_else(|| shard_labels(inst), ShardLabels::clone);
+            main_algorithm_packed(inst, labels, scratch)
         } else {
             main_algorithm_sharded(inst)
         };
         TenantOutcome {
-            name: tenant.name.clone(),
+            name: name.to_string(),
             photos: inst.num_photos(),
-            result: Ok(TenantReport {
-                selected: outcome.best.selected,
-                score: outcome.best.score,
-                cost: outcome.best.cost,
-                winner: outcome.winner,
-            }),
-            latency: t0.elapsed(),
-        }
-    }
-
-    fn solve_tenant(&self, tenant: &FleetTenant, scratch: &mut SolveScratch) -> TenantOutcome {
-        let t0 = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported latency field only
-        let inst = match represent(&tenant.universe, tenant.budget, &self.config.representation) {
-            Ok(inst) => inst,
-            Err(e) => return TenantOutcome::failed(tenant, e),
-        };
-        let outcome = if self.config.reuse_arenas {
-            main_algorithm_scratch(&inst, scratch)
-        } else {
-            main_algorithm_sharded(&inst)
-        };
-        TenantOutcome {
-            name: tenant.universe.name.clone(),
-            photos: tenant.universe.num_photos(),
             result: Ok(TenantReport {
                 selected: outcome.best.selected,
                 score: outcome.best.score,
@@ -255,15 +236,20 @@ impl FleetEngine {
     }
 }
 
-/// Budgets a fleet uniformly: each tenant gets `fraction` of its own
-/// archive's total byte size (clamped to at least one byte so tiny archives
-/// stay representable).
+/// `fraction` of `universe`'s total byte size, clamped to at least one
+/// byte so tiny archives stay representable.
+pub fn fractional_budget(universe: &Universe, fraction: f64) -> u64 {
+    ((universe.total_cost() as f64 * fraction) as u64).max(1)
+}
+
+/// Budgets a fleet uniformly: each tenant gets its
+/// [`fractional_budget`].
 pub fn budget_by_fraction(universes: Vec<Universe>, fraction: f64) -> Vec<FleetTenant> {
     universes
         .into_iter()
-        .map(|universe| {
-            let budget = ((universe.total_cost() as f64 * fraction) as u64).max(1);
-            FleetTenant { universe, budget }
+        .map(|universe| FleetTenant {
+            budget: fractional_budget(&universe, fraction),
+            universe,
         })
         .collect()
 }

@@ -49,8 +49,8 @@ pub use compression::{
 pub use catalog::{Catalog, CatalogBuilder, CatalogEntry};
 pub use error::{PhocusError, Result};
 pub use fleet::{
-    budget_by_fraction, FleetEngine, FleetEngineConfig, FleetTenant, PackedTenant, TenantOutcome,
-    TenantReport,
+    budget_by_fraction, fractional_budget, FleetEngine, FleetEngineConfig, FleetTenant,
+    PackedTenant, TenantOutcome, TenantReport,
 };
 pub use par_exec::Parallelism;
 pub use planner::{minimal_budget, minimal_budget_with, BudgetPlan};

@@ -53,6 +53,38 @@ fn solve_tiny_dataset() {
     assert!(text.contains("sparsification"));
 }
 
+/// `--threads` governs the whole command: the report is the same at one
+/// and two threads apart from the wall-clock `time:` line.
+#[test]
+fn solve_report_is_identical_across_thread_counts() {
+    let report = |threads: &str| {
+        let out = phocus(&[
+            "solve",
+            "--dataset",
+            "tiny",
+            "--budget-mb",
+            "3",
+            "--seed",
+            "7",
+            "--threads",
+            threads,
+        ]);
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|line| !line.starts_with("time:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let serial = report("1");
+    assert!(serial.contains("retained"), "{serial}");
+    assert_eq!(serial, report("2"));
+}
+
 #[test]
 fn suite_tiny_dataset() {
     let out = phocus(&[

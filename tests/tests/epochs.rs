@@ -285,6 +285,13 @@ fn counters_are_identical_across_thread_counts() {
             let mut solver = IncrementalSolver::new(base);
             let first = solver.resolve();
             let scratch = main_algorithm_sharded(solver.instance());
+            // Epoch 0 has nothing to replay: every stream runs live, doing
+            // exactly the one-shot sharded solve's work.
+            assert_eq!(
+                work(&first),
+                work(&scratch),
+                "epoch 0 work (threads={threads})"
+            );
             counters.push((*solver.last_report(), work(&first), work(&scratch)));
             for ops in &trace.epochs {
                 let delta = resolve_epoch(ops, solver.instance()).unwrap();
@@ -298,6 +305,10 @@ fn counters_are_identical_across_thread_counts() {
         prev.install_global();
     }
     assert!(runs[0].iter().any(|c| c.0.replayed_streams > 0), "the chains replay");
+    assert!(
+        runs[0].iter().any(|c| c.0.went_live > 0),
+        "some replayed stream diverges and goes live"
+    );
     assert_eq!(runs[0], runs[1], "2-thread pool changed the counters");
     assert_eq!(runs[0], runs[2], "8-thread pool changed the counters");
 }

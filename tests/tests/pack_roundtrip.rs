@@ -11,7 +11,9 @@
 use par_algo::{main_algorithm_packed, main_algorithm_sharded, sharded_lazy_greedy, GreedyRule};
 use par_core::fixtures::{random_instance, RandomInstanceConfig, SplitMix64};
 use par_core::{fnv1a64, pack_instance, unpack_instance, Evaluator, Instance, PhotoId, SubsetId};
+use par_datasets::{generate_churn, resolve_epoch, ChurnConfig};
 use par_exec::Parallelism;
+use phocus::ArchiveSession;
 use proptest::prelude::*;
 
 /// FNV-1a, 64-bit: tiny, stable, dependency-free transcript hashing.
@@ -174,4 +176,55 @@ fn pack_golden_checksum_is_pinned() {
         sum, PACK_GOLDEN,
         "pack byte image drifted from the pinned golden checksum"
     );
+}
+
+/// A session opened from a loaded pack serves a churn chain exactly like one
+/// opened on the instance itself: the pack's labels reach the coordinator
+/// through `IncrementalSolver::with_labels`, and every epoch, epoch 0
+/// included, gives the same selection, score bits, winner and report.
+#[test]
+fn packed_session_matches_instance_session_every_epoch() {
+    let inst = fixture(0x5E55_10AD, 90, 24, 0.4).sparsify(0.6);
+    let loaded =
+        unpack_instance(&pack_instance(&inst).expect("packable")).expect("valid pack must load");
+    let trace = generate_churn(
+        &inst,
+        &ChurnConfig {
+            epochs: 6,
+            removal_fraction: 0.05,
+            arrivals_mean: 2.0,
+            drift_mean: 1.0,
+            budget_wobble: 0.1,
+            seed: 0x5E55,
+            ..ChurnConfig::default()
+        },
+    )
+    .expect("churn trace generates");
+    let mut packed = ArchiveSession::from_packed(loaded);
+    let mut plain = ArchiveSession::new(inst);
+    let mut replayed = 0;
+    for epoch in 0..=trace.epochs.len() {
+        if let Some(ops) = epoch.checked_sub(1).map(|e| &trace.epochs[e]) {
+            for session in [&mut plain, &mut packed] {
+                let delta = resolve_epoch(ops, session.instance()).expect("epoch resolves");
+                session.apply_delta(&delta).expect("delta applies");
+            }
+        }
+        let a = plain.resolve();
+        let b = packed.resolve();
+        assert_eq!(b.epoch, a.epoch);
+        assert_eq!(
+            b.outcome.best.selected, a.outcome.best.selected,
+            "epoch {epoch}"
+        );
+        assert_eq!(
+            b.outcome.best.score.to_bits(),
+            a.outcome.best.score.to_bits(),
+            "epoch {epoch}"
+        );
+        assert_eq!(b.outcome.winner, a.outcome.winner, "epoch {epoch}");
+        assert_eq!(b.report, a.report, "epoch {epoch}");
+        replayed += a.report.replayed_streams;
+    }
+    assert!(replayed > 0, "the chain replays transcripts");
 }
