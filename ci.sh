@@ -56,6 +56,10 @@ echo "==> clippy panic-freedom gate (library + bins)"
 cargo clippy "${PKG_FLAGS[@]}" --lib --bins -- \
   -D warnings -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
 
+# Rustdoc gate: a doc link to a private, renamed or deleted item fails here.
+echo "==> cargo doc (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> no-panic fuzz gate (fixed seeds, bounded corpus)"
 cargo test -q -p integration-tests --test no_panic
 

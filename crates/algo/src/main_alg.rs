@@ -73,7 +73,7 @@ pub fn main_algorithm_sharded(inst: &Instance) -> MainOutcome {
 /// a `phocus-pack` file, so the solver skips the union-find pass entirely;
 /// a text tenant passes `shard_labels(inst)`. Bit-identical to
 /// [`main_algorithm_sharded`] regardless of what the scratch previously
-/// held — see [`SolveScratch`](crate::SolveScratch).
+/// held — see [`SolveScratch`].
 pub fn main_algorithm_packed(
     inst: &Instance,
     labels: par_core::ShardLabels,

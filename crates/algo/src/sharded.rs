@@ -959,6 +959,8 @@ mod tests {
             assert_transcripts_match(&inst);
             assert_transcripts_match(&inst.sparsify(0.8));
             assert_transcripts_match(&inst.with_unit_sims());
+            // Binary similarities: exact key ties are common.
+            assert_transcripts_match(&inst.coverage_view(0.8));
         }
     }
 

@@ -199,27 +199,31 @@ impl Instance {
     /// Derives the τ-sparsified instance of Section 4.3: all similarities
     /// below `tau` are rounded down to 0.
     pub fn sparsify(&self, tau: f64) -> Self {
-        let sims = self.sims.iter().map(|s| Arc::new(s.sparsify(tau))).collect();
-        Instance {
-            core: Arc::clone(&self.core),
-            sims: Arc::new(sims),
-            budget: self.budget,
-        }
+        self.map_sims(|s| s.sparsify(tau))
+    }
+
+    /// Derives the τ-coverage view of Theorem 4.8's certificate: every
+    /// similarity `≥ tau` becomes 1 and every other one 0. `G(S)` on the
+    /// view is the right-node weight `S` covers in the τ-sparsified GFL
+    /// graph, so Algorithm 1 on the view is a Budgeted-Max-Coverage greedy
+    /// that starts from `S₀`.
+    pub fn coverage_view(&self, tau: f64) -> Self {
+        self.map_sims(|s| s.coverage(tau))
     }
 
     /// Derives the unit-similarity view used by the Greedy-NR baseline:
     /// `SIM(q, p, p') = 1` for all co-members, turning the objective into
     /// weighted subset coverage.
     pub fn with_unit_sims(&self) -> Self {
-        let sims = self
-            .core
-            .subsets
-            .iter()
-            .map(|q| Arc::new(ContextSim::Unit(q.members.len())))
-            .collect();
+        self.map_sims(|s| ContextSim::Unit(s.len()))
+    }
+
+    /// The instance with every similarity store replaced by `f` of itself,
+    /// sharing the core and budget.
+    fn map_sims(&self, f: impl Fn(&ContextSim) -> ContextSim) -> Self {
         Instance {
             core: Arc::clone(&self.core),
-            sims: Arc::new(sims),
+            sims: Arc::new(self.sims.iter().map(|s| Arc::new(f(s))).collect()),
             budget: self.budget,
         }
     }

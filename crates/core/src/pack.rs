@@ -159,7 +159,7 @@ pub enum PackError {
         /// The version the file claims.
         found: u32,
     },
-    /// The header claims an absurd section count (> [`MAX_SECTIONS`]).
+    /// The header claims an absurd section count (> `MAX_SECTIONS`).
     SectionCount {
         /// The count the file claims.
         found: u32,

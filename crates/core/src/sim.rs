@@ -636,6 +636,20 @@ impl ContextSim {
             ContextSim::Sparse(s) => ContextSim::Sparse(s.sparsify(tau)),
         }
     }
+
+    /// The τ-coverage store: [`ContextSim::sparsify`] at `tau`, then every
+    /// kept similarity set to 1, so a member covers exactly itself and the
+    /// co-members it keeps a pair with. A `Unit` store stays `Unit` for
+    /// τ ≤ 1.
+    pub fn coverage(&self, tau: f64) -> ContextSim {
+        match self.sparsify(tau) {
+            ContextSim::Sparse(mut s) => {
+                s.sim.fill(1.0);
+                ContextSim::Sparse(s)
+            }
+            unit => unit,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ const BANNED_MACROS: &[&str] = &[
     "eprintln",
 ];
 
-/// `no-print`: see [`BANNED_MACROS`].
+/// `no-print`: see `BANNED_MACROS`.
 pub fn no_print(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     let lib_crate = matches!(
         ctx.spec.category,

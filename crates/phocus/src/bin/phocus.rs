@@ -232,6 +232,19 @@ fn budget_bytes(rest: &[String], default_mb: f64) -> Result<u64, CliError> {
     Ok(bytes as u64)
 }
 
+/// Reads `--tau`, the sparsification threshold. Anything but a finite
+/// number in `[0, 1]` is a usage error naming the flag.
+fn tau_threshold(rest: &[String]) -> Result<f64, CliError> {
+    let tau: f64 = parse(rest, "--tau", 0.6)?;
+    // NaN is in no range.
+    if !(0.0..=1.0).contains(&tau) {
+        return Err(CliError::usage(format!(
+            "--tau must be a finite number in [0, 1], got {tau}"
+        )));
+    }
+    Ok(tau)
+}
+
 fn read_file(path: &str) -> Result<String, PhocusError> {
     std::fs::read_to_string(path).map_err(|e| PhocusError::Io {
         path: path.to_string(),
@@ -263,7 +276,7 @@ fn write_bytes(path: &str, bytes: &[u8]) -> Result<(), PhocusError> {
 /// The shared `--tau` / `--seed` / `--ns` representation flags, with the
 /// same defaults everywhere (τ = 0.6, seed = 42, LSH recall target 0.95).
 fn repr_from_flags(rest: &[String]) -> Result<RepresentationConfig, CliError> {
-    let tau: f64 = parse(rest, "--tau", 0.6)?;
+    let tau = tau_threshold(rest)?;
     let seed: u64 = parse(rest, "--seed", 42)?;
     Ok(if flag(rest, "--ns") {
         RepresentationConfig::phocus_ns()
@@ -395,22 +408,9 @@ fn with_threads(
 fn cmd_solve(rest: &[String]) -> Result<(), CliError> {
     let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
     let budget = budget_bytes(rest, 10.0)?;
-    let tau: f64 = parse(rest, "--tau", 0.6)?;
+    let representation = repr_from_flags(rest)?;
     let seed: u64 = parse(rest, "--seed", 42)?;
     let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
-
-    let representation = if flag(rest, "--ns") {
-        RepresentationConfig::phocus_ns()
-    } else {
-        RepresentationConfig {
-            sparsification: Sparsification::Lsh {
-                tau,
-                target_recall: 0.95,
-                seed,
-            },
-            ..Default::default()
-        }
-    };
     let solver = Phocus::new(PhocusConfig {
         representation: representation.clone(),
         certify_sparsification: !flag(rest, "--ns"),
@@ -599,8 +599,8 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
         )));
     }
 
-    let paths = read_tenant_list(&list)?;
     let representation = repr_from_flags(rest)?;
+    let paths = read_tenant_list(&list)?;
 
     // Load every tenant up front; a tenant whose file is unreadable or
     // malformed fails *that tenant*, never the batch.
@@ -997,7 +997,7 @@ fn run_epochs(
 fn cmd_suite(rest: &[String]) -> Result<(), CliError> {
     let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
     let budget = budget_bytes(rest, 10.0)?;
-    let tau: f64 = parse(rest, "--tau", 0.6)?;
+    let tau = tau_threshold(rest)?;
     let seed: u64 = parse(rest, "--seed", 42)?;
     let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
     let cfg = SuiteConfig {

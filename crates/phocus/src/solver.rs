@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 pub struct PhocusConfig {
     /// The representation choices (contextualization, sparsification, …).
     pub representation: RepresentationConfig,
-    /// Compute the Theorem 4.8 certificate when sparsifying (adds a
-    /// Budgeted-Max-Coverage run over the GFL graph).
+    /// Compute the Theorem 4.8 certificate when sparsifying (adds one
+    /// Algorithm 1 run on the τ-coverage view, from `S₀`).
     pub certify_sparsification: bool,
     /// Worker threads for the parallel kernels (gain batches, SimHash
     /// signing, sparsification, exact scoring). Installed as the

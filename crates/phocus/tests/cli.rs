@@ -870,3 +870,64 @@ fn epochs_trace_pair_index_beyond_u32_is_invalid_data() {
     assert!(err.contains("line 3"), "{err}");
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn tau_outside_zero_one_is_a_usage_error() {
+    let list = write_batch_fixture("bad_tau", &[]);
+    let dir = list.parent().unwrap();
+    let catalog = dir.join("catalog");
+    let (list, catalog) = (list.to_str().unwrap(), catalog.to_str().unwrap());
+    let runs: [&[&str]; 5] = [
+        &["solve", "--dataset", "tiny", "--tau", "nan"],
+        &["solve", "--dataset", "tiny", "--ns", "--tau", "-1"],
+        &["serve-batch", "--list", list, "--tau", "-0.5"],
+        &[
+            "catalog",
+            "build",
+            "--list",
+            list,
+            "--out-dir",
+            catalog,
+            "--tau",
+            "1.5",
+        ],
+        &["suite", "--dataset", "tiny", "--tau", "inf"],
+    ];
+    for args in runs {
+        let out = phocus(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} is a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--tau"), "names the flag: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "nothing served for {args:?}: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+    assert!(
+        !std::path::Path::new(catalog).exists(),
+        "no catalog written"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn tau_at_either_end_of_zero_one_still_solves() {
+    for tau in ["0", "1"] {
+        let out = phocus(&[
+            "solve",
+            "--dataset",
+            "tiny",
+            "--budget-mb",
+            "3",
+            "--tau",
+            tau,
+        ]);
+        assert!(
+            out.status.success(),
+            "--tau {tau}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).contains("retained"));
+    }
+}

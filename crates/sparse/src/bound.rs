@@ -8,14 +8,22 @@
 //! F(O_τ) ≥ OPT / (1 + 1/α)
 //! ```
 //!
-//! The certificate set `S` is found by running Budgeted Maximum Coverage
-//! over the sparsified graph (self-edges always survive sparsification since
-//! their weight is 1). Larger `τ` sparsifies more but shrinks `α`; the bound
-//! quantifies that trade-off *for the given data*, which in practice is far
-//! tighter than any a-priori worst case.
+//! The certificate set `S` is Algorithm 1 run on the τ-coverage view
+//! ([`Instance::coverage_view`]): every similarity `≥ τ` becomes 1 and every
+//! other one 0, so `G(S)` on the view is exactly the right-node weight `S`
+//! covers in the sparsified GFL graph, and Algorithm 1 there is the
+//! two-rule Budgeted-Max-Coverage greedy. It runs through the sharded
+//! solver like every PAR solve, so `S` starts from `S₀` and fits the budget.
+//! That feasibility is what the proof needs: it chains
+//! `OPT ≤ F_τ(O) + τ·W_R` with `τ·α·W_R ≤ F_τ(S) ≤ F_τ(O_τ)`, and the last
+//! step holds only for `S` feasible in the sparsified problem, `S₀`
+//! included.
+//!
+//! Larger `τ` sparsifies more but shrinks `α`; the bound quantifies that
+//! trade-off *for the given data*, which in practice is far tighter than
+//! any a-priori worst case.
 
-use crate::bmc::budgeted_max_coverage;
-use crate::gfl::GflInstance;
+use par_algo::main_algorithm_sharded;
 use par_core::Instance;
 
 /// The Theorem 4.8 certificate for a concrete instance and threshold.
@@ -24,7 +32,7 @@ pub struct SparsificationBound {
     /// The threshold τ the bound certifies.
     pub tau: f64,
     /// Fraction `α` of the total right-node weight covered by the
-    /// Budgeted-Max-Coverage certificate within the budget.
+    /// certificate set, a feasible `S ⊇ S₀`.
     pub alpha: f64,
     /// The guaranteed factor `1 / (1 + 1/α) = α / (1 + α)`: the sparsified
     /// optimum retains at least this fraction of the original optimum.
@@ -40,11 +48,15 @@ pub struct SparsificationBound {
 /// Note the certificate uses a greedy (not optimal) coverage solution, so the
 /// reported `α` — and hence the factor — is itself a safe *under*-estimate.
 pub fn sparsification_bound(inst: &Instance, tau: f64) -> SparsificationBound {
-    let gfl = GflInstance::from_instance(inst).sparsify(tau);
-    let total_weight = gfl.total_right_weight();
-    let coverage = budgeted_max_coverage(&gfl.to_coverage());
+    // W_R = Σ_q Σ_{p∈q} W(q)·R(q,p), summed in member order.
+    let total_weight: f64 = inst
+        .subsets()
+        .iter()
+        .flat_map(|q| q.relevance.iter().map(move |&r| q.weight * r))
+        .sum();
+    let covered_weight = main_algorithm_sharded(&inst.coverage_view(tau)).best.score;
     let alpha = if total_weight > 0.0 {
-        coverage.covered_weight / total_weight
+        covered_weight / total_weight
     } else {
         0.0
     };
@@ -57,7 +69,7 @@ pub fn sparsification_bound(inst: &Instance, tau: f64) -> SparsificationBound {
         tau,
         alpha,
         factor,
-        covered_weight: coverage.covered_weight,
+        covered_weight,
         total_weight,
     }
 }
@@ -66,7 +78,24 @@ pub fn sparsification_bound(inst: &Instance, tau: f64) -> SparsificationBound {
 mod tests {
     use super::*;
     use par_algo::{brute_force, BruteForceConfig};
+    use par_core::exact_score;
     use par_core::fixtures::{figure1_instance, random_instance, RandomInstanceConfig, MB};
+    use par_exec::Parallelism;
+
+    /// Small instances where about a quarter of the photos are in `S₀`.
+    fn with_required(seed: u64) -> Instance {
+        random_instance(
+            seed,
+            &RandomInstanceConfig {
+                photos: 12,
+                subsets: 5,
+                subset_size: (2, 6),
+                cost_range: (50, 400),
+                budget_fraction: 0.35,
+                required_prob: 0.25,
+            },
+        )
+    }
 
     #[test]
     fn figure1_bound_is_meaningful() {
@@ -118,10 +147,76 @@ mod tests {
     #[test]
     fn tau_zero_keeps_everything() {
         let inst = figure1_instance(4 * MB);
-        // With τ=0 no edges are dropped, so the coverage certificate equals
-        // the plain BMC on the full graph and α is maximal for this budget.
+        // With τ=0 no edges are dropped, so the certificate covers the full
+        // GFL graph and α is maximal for this budget.
         let b0 = sparsification_bound(&inst, 0.0);
         let b9 = sparsification_bound(&inst, 0.9);
         assert!(b0.alpha >= b9.alpha - 1e-12);
+    }
+
+    #[test]
+    fn certificate_set_is_feasible_and_contains_required_photos() {
+        for seed in 0..20 {
+            let inst = with_required(seed);
+            for tau in [0.3, 0.6, 0.9] {
+                let best = main_algorithm_sharded(&inst.coverage_view(tau)).best;
+                assert!(best.cost <= inst.budget(), "seed {seed} τ={tau}");
+                for p in inst.required() {
+                    assert!(best.selected.contains(p), "seed {seed} τ={tau}: {p:?}");
+                }
+                let bound = sparsification_bound(&inst, tau);
+                assert_eq!(best.score.to_bits(), bound.covered_weight.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn covered_weight_meets_the_greedy_guarantee_on_the_view() {
+        let guarantee = (1.0 - 1.0 / std::f64::consts::E) / 2.0;
+        for seed in 0..20 {
+            let inst = with_required(seed);
+            for tau in [0.3, 0.6, 0.9] {
+                let opt = brute_force(&inst.coverage_view(tau), &BruteForceConfig::default())
+                    .unwrap()
+                    .score;
+                let covered = sparsification_bound(&inst, tau).covered_weight;
+                assert!(
+                    covered + 1e-9 >= guarantee * opt,
+                    "seed {seed} τ={tau}: covered {covered} < {guarantee} · {opt}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn budget_of_required_photos_certifies_their_own_coverage() {
+        for seed in 0..20 {
+            let inst = with_required(seed);
+            let inst = inst.with_budget(inst.required_cost()).unwrap();
+            for tau in [0.3, 0.6, 0.9] {
+                let bound = sparsification_bound(&inst, tau);
+                let own = exact_score(&inst.coverage_view(tau), inst.required());
+                assert!(
+                    (bound.alpha - own / bound.total_weight).abs() < 1e-12,
+                    "seed {seed} τ={tau}: α {} vs {own} / {}",
+                    bound.alpha,
+                    bound.total_weight
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn alpha_bits_are_identical_across_thread_counts() {
+        for seed in 0..10 {
+            let inst = with_required(seed);
+            let alpha_at = |threads: usize| {
+                let prev = Parallelism::with_threads(threads).install_global();
+                let alpha = sparsification_bound(&inst, 0.6).alpha;
+                prev.install_global();
+                alpha
+            };
+            assert_eq!(alpha_at(1).to_bits(), alpha_at(2).to_bits(), "seed {seed}");
+        }
     }
 }

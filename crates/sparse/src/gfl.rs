@@ -123,7 +123,8 @@ impl GflInstance {
     }
 
     /// Drops every non-self edge with weight `< tau` — the τ-sparsified GFL
-    /// graph used by Theorem 4.8's coverage certificate.
+    /// graph of Theorem 4.8. The right-node weight a set reaches here is
+    /// what [`Instance::coverage_view`] scores.
     pub fn sparsify(&self, tau: f64) -> GflInstance {
         // Per-left-node edge filtering is independent; each filtered list
         // lands at its own index, identical to the serial pass.
@@ -137,22 +138,6 @@ impl GflInstance {
             left_weights: self.left_weights.clone(),
             right: self.right.clone(),
             edges,
-            budget: self.budget,
-        }
-    }
-
-    /// Converts to a coverage instance: left node `p` covers right node `v`
-    /// iff an edge `p → v` exists (weights ignored beyond existence). This is
-    /// the Budgeted-Max-Coverage instance of Theorem 4.8.
-    pub fn to_coverage(&self) -> crate::bmc::CoverageInstance {
-        crate::bmc::CoverageInstance {
-            element_weights: self.right.iter().map(|r| r.weight).collect(),
-            set_costs: self.left_weights.clone(),
-            covers: self
-                .edges
-                .iter()
-                .map(|l| l.iter().map(|&(ri, _)| ri).collect())
-                .collect(),
             budget: self.budget,
         }
     }
@@ -229,16 +214,5 @@ mod tests {
         let score_p1 = gfl.score(&[PhotoId(0)]);
         // p1 covers (q1,p1)=4.5·1 and (q1,p3)=1.8·0.8; (q1,p2) dropped.
         assert!((score_p1 - (4.5 + 1.8 * 0.8)).abs() < 1e-6, "{score_p1}");
-    }
-
-    #[test]
-    fn coverage_conversion_counts_neighbors() {
-        let inst = figure1_instance(u64::MAX);
-        let cov = GflInstance::from_instance(&inst).to_coverage();
-        assert_eq!(cov.covers.len(), 7);
-        assert_eq!(cov.element_weights.len(), 9);
-        // p6 (index 5) has self-edges in q2, q3, q4 plus neighbor edges to
-        // (q2,p4), (q2,p5), (q4,p7).
-        assert_eq!(cov.covers[5].len(), 6);
     }
 }

@@ -7,21 +7,20 @@
 //! 1. [`gfl`] — the Generalized Facility Location (GFL) reformulation of a
 //!    PAR instance as a weighted bipartite graph (`T_L` = photos, `T_R` =
 //!    (subset, member) pairs), with `F(S) ≡ G(S)`;
-//! 2. [`bmc`] — the Budgeted Maximum Coverage greedy of Khuller et al., run
-//!    over the τ-sparsified GFL graph to find a set `S` covering an
-//!    `α`-fraction of the total right-node weight within the budget;
-//! 3. [`bound`] — Theorem 4.8: `F(O_τ) ≥ OPT / (1 + 1/α)`, i.e. solving the
+//! 2. [`bound`] — Theorem 4.8: `F(O_τ) ≥ OPT / (1 + 1/α)`, i.e. solving the
 //!    sparsified instance forfeits at most a `1/(1+α)` fraction of the
-//!    optimum.
+//!    optimum. The certificate set is Algorithm 1 on the τ-coverage view
+//!    ([`par_core::Instance::coverage_view`]), whose objective is the
+//!    right-node weight a set covers in the τ-sparsified GFL graph. The
+//!    set contains `S₀` and fits the budget, as the proof requires, and
+//!    `α` is its share of the total right-node weight.
 
 #![forbid(unsafe_code)]
 
 #![warn(missing_docs)]
 
-pub mod bmc;
 pub mod bound;
 pub mod gfl;
 
-pub use bmc::{budgeted_max_coverage, CoverageInstance, CoverageOutcome};
 pub use bound::{sparsification_bound, SparsificationBound};
 pub use gfl::{GflInstance, RightNode};

@@ -1,6 +1,7 @@
 //! Property tests for the GFL formulation: the bipartite objective equals
-//! the PAR objective on arbitrary instances and arbitrary selections, and
-//! sparsification commutes with the conversion.
+//! the PAR objective on arbitrary instances and arbitrary selections,
+//! sparsification commutes with the conversion, and the τ-coverage view
+//! scores what a set reaches in the sparsified graph.
 
 use par_core::fixtures::{random_instance, RandomInstanceConfig, SplitMix64};
 use par_core::{exact_score, PhotoId};
@@ -60,5 +61,38 @@ proptest! {
         // Full selection attains the total weight.
         let all: Vec<PhotoId> = (0..inst.num_photos() as u32).map(PhotoId).collect();
         prop_assert!((gfl.score(&all) - gfl.total_right_weight()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn coverage_view_scores_the_sparsified_graph_coverage((inst, seed) in instance_strategy()) {
+        let mut rng = SplitMix64::new(seed ^ 0x6F3);
+        for store in [inst.clone(), inst.sparsify(0.5), inst.with_unit_sims()] {
+            let gfl = GflInstance::from_instance(&store);
+            for tau in [0.0, 0.3, 0.8, 1.0] {
+                let set: Vec<PhotoId> = (0..store.num_photos() as u32)
+                    .map(PhotoId)
+                    .filter(|_| rng.next_f64() < 0.4)
+                    .collect();
+                let graph = gfl.sparsify(tau);
+                let mut reached = vec![false; graph.num_right()];
+                for p in &set {
+                    for &(ri, _) in &graph.edges[p.index()] {
+                        reached[ri as usize] = true;
+                    }
+                }
+                let w: f64 = graph
+                    .right
+                    .iter()
+                    .zip(&reached)
+                    .filter(|(_, &r)| r)
+                    .map(|(node, _)| node.weight)
+                    .sum();
+                let covered = exact_score(&store.coverage_view(tau), &set);
+                prop_assert!(
+                    (covered - w).abs() <= 1e-9 * w.max(1.0),
+                    "τ={tau}: view {covered} vs graph {w}"
+                );
+            }
+        }
     }
 }
