@@ -9,6 +9,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every scratch file lives in one private directory (under $TMPDIR when set),
+# so concurrent runs cannot clobber each other; it goes away on exit.
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -24,8 +29,8 @@ cargo run --release -q -p par-lint
 # or dropped without updating lint-rules.txt (and the consumers reading the
 # JSON) fails here, not in a downstream dashboard.
 echo "==> phocus-lint --json schema + rule-registry drift check"
-cargo run --release -q -p par-lint -- --json > /tmp/phocus_lint.json
-head -c 32 /tmp/phocus_lint.json | grep -q '^{"version":2,"rules":\[' \
+cargo run --release -q -p par-lint -- --json > "$WORK/lint.json"
+head -c 32 "$WORK/lint.json" | grep -q '^{"version":2,"rules":\[' \
   || { echo "phocus-lint --json is not schema v2" >&2; exit 1; }
 cargo run --release -q -p par-lint -- rules | diff - lint-rules.txt
 
@@ -90,18 +95,17 @@ CRITERION_QUICK=1 cargo bench -p par-bench --bench lsh
 # checksums, cross-section bounds).
 echo "==> pack determinism gate (phocus pack, two runs + cmp + --check)"
 PACK_ARGS=(pack --dataset p1k --budget-mb 1)
-cargo run --release -q -p phocus -- "${PACK_ARGS[@]}" --out /tmp/phocus_pack_a.pack
-cargo run --release -q -p phocus -- "${PACK_ARGS[@]}" --out /tmp/phocus_pack_b.pack
-cmp /tmp/phocus_pack_a.pack /tmp/phocus_pack_b.pack
-cargo run --release -q -p phocus -- pack --check /tmp/phocus_pack_a.pack
+cargo run --release -q -p phocus -- "${PACK_ARGS[@]}" --out "$WORK/pack_a.pack"
+cargo run --release -q -p phocus -- "${PACK_ARGS[@]}" --out "$WORK/pack_b.pack"
+cmp "$WORK/pack_a.pack" "$WORK/pack_b.pack"
+cargo run --release -q -p phocus -- pack --check "$WORK/pack_a.pack"
 
 # Catalog determinism gate: building a catalog twice from the same tenants
 # must write a byte-identical index and byte-identical packs, and serving
 # off it twice must print the same report (apart from the wall-clock ms=
 # and inst_per_sec= fields) and write the same solution trees.
 echo "==> catalog determinism gate (phocus catalog build + serve-batch --catalog, two runs each)"
-CAT_DIR=/tmp/phocus_catalog_gate
-rm -rf "$CAT_DIR"
+CAT_DIR="$WORK/catalog_gate"
 mkdir -p "$CAT_DIR"
 for ds in tiny p1k ec-fashion; do
   cargo run --release -q -p phocus -- export --dataset "$ds" --out "$CAT_DIR/$ds.universe"
@@ -132,21 +136,21 @@ grep -q '^batch.*tenants=3.*failed=0$' "$CAT_DIR/serve_a.txt"
 # cannot see.
 echo "==> churn-replay determinism gate (phocus epochs --check, two runs)"
 EPOCH_ARGS=(epochs --dataset p1k --budget-mb 1 --epochs 6 --churn 0.02 --check)
-cargo run --release -q -p phocus -- "${EPOCH_ARGS[@]}" | sed 's/\tms=[0-9.]*//' > /tmp/phocus_epochs_a.txt
-cargo run --release -q -p phocus -- "${EPOCH_ARGS[@]}" | sed 's/\tms=[0-9.]*//' > /tmp/phocus_epochs_b.txt
-diff /tmp/phocus_epochs_a.txt /tmp/phocus_epochs_b.txt
-grep -q '^session.*failed=0$' /tmp/phocus_epochs_a.txt
+cargo run --release -q -p phocus -- "${EPOCH_ARGS[@]}" | sed 's/\tms=[0-9.]*//' > "$WORK/epochs_a.txt"
+cargo run --release -q -p phocus -- "${EPOCH_ARGS[@]}" | sed 's/\tms=[0-9.]*//' > "$WORK/epochs_b.txt"
+diff "$WORK/epochs_a.txt" "$WORK/epochs_b.txt"
+grep -q '^session.*failed=0$' "$WORK/epochs_a.txt"
 
 # Compress determinism gate: multi-action solves must not depend on the
 # solver build — the sharded and global paths on the same expanded
 # instance must print byte-identical reports and retain the same actions.
 echo "==> compress determinism gate (phocus compress, sharded vs --no-sharding)"
 COMPRESS_ARGS=(compress --dataset p1k --budget-mb 1 --ladder 0.85:0.35,0.55:0.10)
-cargo run --release -q -p phocus -- "${COMPRESS_ARGS[@]}" --out /tmp/phocus_actions_a.tsv | grep -v '^wrote ' > /tmp/phocus_compress_a.txt
-cargo run --release -q -p phocus -- "${COMPRESS_ARGS[@]}" --no-sharding --out /tmp/phocus_actions_b.tsv | grep -v '^wrote ' > /tmp/phocus_compress_b.txt
-diff /tmp/phocus_compress_a.txt /tmp/phocus_compress_b.txt
-diff /tmp/phocus_actions_a.tsv /tmp/phocus_actions_b.tsv
-grep -q 'compressed renditions' /tmp/phocus_compress_a.txt
+cargo run --release -q -p phocus -- "${COMPRESS_ARGS[@]}" --out "$WORK/actions_a.tsv" | grep -v '^wrote ' > "$WORK/compress_a.txt"
+cargo run --release -q -p phocus -- "${COMPRESS_ARGS[@]}" --no-sharding --out "$WORK/actions_b.tsv" | grep -v '^wrote ' > "$WORK/compress_b.txt"
+diff "$WORK/compress_a.txt" "$WORK/compress_b.txt"
+diff "$WORK/actions_a.tsv" "$WORK/actions_b.tsv"
+grep -q 'compressed renditions' "$WORK/compress_a.txt"
 
 # End-to-end benchmark smoke gate: phocus-bench is its own package (it
 # builds the library crates by path, outside this workspace), so the

@@ -18,7 +18,6 @@ use crate::types::{GreedyOutcome, RunStats};
 use par_core::{Evaluator, Instance, PhotoId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 /// Selection rule used by [`lazy_greedy`] (the `type` parameter of
 /// Algorithm 2).
@@ -88,7 +87,6 @@ pub fn lazy_greedy(inst: &Instance, rule: GreedyRule) -> GreedyOutcome {
 /// and repair-style callers, e.g. the compression module's prune-and-refill
 /// pass.
 pub fn lazy_greedy_from(inst: &Instance, initial: &[PhotoId], rule: GreedyRule) -> GreedyOutcome {
-    let start = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
     let budget = inst.budget();
     let mut ev = Evaluator::new(inst);
     for &p in inst.required() {
@@ -159,7 +157,6 @@ pub fn lazy_greedy_from(inst: &Instance, initial: &[PhotoId], rule: GreedyRule) 
             sim_ops: stats.sim_ops,
             pq_pops,
             lazy_accepts,
-            elapsed: start.elapsed(),
         },
     }
 }
@@ -169,7 +166,6 @@ pub fn lazy_greedy_from(inst: &Instance, initial: &[PhotoId], rule: GreedyRule) 
 /// identically) but with `O(n)` gain evaluations per selected photo — the
 /// baseline against which the paper's ~700× lazy speedup is measured.
 pub fn eager_greedy(inst: &Instance, rule: GreedyRule) -> GreedyOutcome {
-    let start = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
     let budget = inst.budget();
     let mut ev = Evaluator::with_required(inst);
     let mut alive: Vec<PhotoId> = (0..inst.num_photos() as u32)
@@ -213,7 +209,6 @@ pub fn eager_greedy(inst: &Instance, rule: GreedyRule) -> GreedyOutcome {
             sim_ops: stats.sim_ops,
             pq_pops: 0,
             lazy_accepts: 0,
-            elapsed: start.elapsed(),
         },
     }
 }

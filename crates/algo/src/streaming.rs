@@ -19,7 +19,6 @@
 use crate::error::SolveError;
 use crate::types::{GreedyOutcome, RunStats};
 use par_core::{Evaluator, Instance, PhotoId};
-use std::time::Instant;
 
 /// One sieve: a guessed optimum value and its partial solution.
 struct Sieve<'a> {
@@ -46,7 +45,6 @@ pub fn sieve_streaming(
     if !(epsilon > 0.0 && epsilon < 1.0) {
         return Err(SolveError::InvalidEpsilon(epsilon));
     }
-    let start = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
     let required: Vec<PhotoId> = inst.required().to_vec();
     if required.len() > k {
         return Err(SolveError::RequiredExceedsCardinality {
@@ -131,7 +129,6 @@ pub fn sieve_streaming(
             sim_ops: 0,
             pq_pops: 0,
             lazy_accepts: 0,
-            elapsed: start.elapsed(),
         },
     })
 }
@@ -144,7 +141,6 @@ pub fn sieve_streaming(
 /// [`online_bound`](crate::online_bound::online_bound) for an a-posteriori certificate.
 pub fn density_sieve(inst: &Instance, levels: usize) -> GreedyOutcome {
     assert!(levels >= 1);
-    let start = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
     let budget = inst.budget();
     let mut ev = Evaluator::with_required(inst);
     let mut gain_evals = 0u64;
@@ -187,7 +183,6 @@ pub fn density_sieve(inst: &Instance, levels: usize) -> GreedyOutcome {
             sim_ops: 0,
             pq_pops: 0,
             lazy_accepts: 0,
-            elapsed: start.elapsed(),
         },
     }
 }

@@ -1,7 +1,6 @@
 //! Common solver output and instrumentation types.
 
 use par_core::PhotoId;
-use std::time::Duration;
 
 /// Instrumentation gathered during a solver run.
 ///
@@ -9,7 +8,7 @@ use std::time::Duration;
 /// (Section 4.2: Ω(B·n⁴) for the Sviridenko scheme vs `O(B·n)` for CELF,
 /// with lazy evaluation shaving a further large constant factor), and
 /// `sim_ops` is what τ-sparsification reduces.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Number of marginal-gain evaluations performed.
     pub gain_evals: u64,
@@ -20,8 +19,6 @@ pub struct RunStats {
     /// Number of lazy accepts — pops whose cached bound was still the best
     /// after recomputation (CELF only).
     pub lazy_accepts: u64,
-    /// Wall-clock time of the run.
-    pub elapsed: Duration,
 }
 
 impl RunStats {
@@ -33,7 +30,6 @@ impl RunStats {
             sim_ops: self.sim_ops + other.sim_ops,
             pq_pops: self.pq_pops + other.pq_pops,
             lazy_accepts: self.lazy_accepts + other.lazy_accepts,
-            elapsed: self.elapsed + other.elapsed,
         }
     }
 }
@@ -68,20 +64,17 @@ mod tests {
             sim_ops: 100,
             pq_pops: 5,
             lazy_accepts: 3,
-            elapsed: Duration::from_millis(7),
         };
         let b = RunStats {
             gain_evals: 1,
             sim_ops: 2,
             pq_pops: 3,
             lazy_accepts: 4,
-            elapsed: Duration::from_millis(5),
         };
         let m = a.merge(&b);
         assert_eq!(m.gain_evals, 11);
         assert_eq!(m.sim_ops, 102);
         assert_eq!(m.pq_pops, 8);
         assert_eq!(m.lazy_accepts, 7);
-        assert_eq!(m.elapsed, Duration::from_millis(12));
     }
 }

@@ -4,10 +4,10 @@
 //! restart, every tenant migration, every scale-out re-parses tenant
 //! universes from text, re-runs the representation pipeline (relevance
 //! normalization, contextual similarity, LSH sparsification), and re-derives
-//! solver structure (component labels, fused evaluator weights). The
-//! `phocus-pack` format persists exactly those hot structures — validated
-//! once at write time, loaded by length-checked bulk copies — so a catalog
-//! restart costs file reads plus checksums instead of the whole pipeline.
+//! the component labels. The `phocus-pack` format persists the represented
+//! instance and its labels — loaded by length-checked bulk copies plus
+//! linear consistency checks — so a catalog restart costs file reads plus
+//! checksums instead of the whole pipeline.
 //!
 //! Groups:
 //!

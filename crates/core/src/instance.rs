@@ -52,9 +52,9 @@ struct Core {
 #[derive(Debug, Clone)]
 pub struct Instance {
     core: Arc<Core>,
-    /// One store per subset; each store is individually `Arc`ed so component
-    /// sub-views (see [`crate::components`]) can share unsplit stores with
-    /// their parent instance.
+    /// One store per subset; each store is individually `Arc`ed so the
+    /// post-delta instance of an epoch ([`crate::delta`]) can share the
+    /// stores of untouched subsets with its predecessor.
     sims: Arc<Vec<Arc<ContextSim>>>,
     budget: u64,
 }
@@ -109,14 +109,14 @@ impl Instance {
     }
 
     /// All similarity stores, parallel to [`Instance::subsets`]. Each store
-    /// sits behind its own `Arc` so derived sub-views can share it.
+    /// sits behind its own `Arc` so derived instances can share it.
     #[inline]
     pub fn sims(&self) -> &[Arc<ContextSim>] {
         &self.sims
     }
 
     /// The shared handle to a subset's similarity store (for building
-    /// sub-views that alias the parent's store).
+    /// derived instances that alias it).
     #[inline]
     pub(crate) fn sim_arc(&self, id: SubsetId) -> &Arc<ContextSim> {
         &self.sims[id.index()]
@@ -238,11 +238,14 @@ impl Instance {
     /// membership reverse-index and cost totals but performing **no**
     /// validation and **no** relevance normalization.
     ///
-    /// This is the shared tail of the builder (whose `validate` has already
-    /// normalized) and the entry point for [`crate::components`] sub-views,
-    /// which must copy parent relevance bit-exactly — re-normalizing a
-    /// query fragment would change `W·R` products and break the sharded
-    /// solver's bit-identity with the global one.
+    /// The one constructor every instance goes through: the builder's tail
+    /// (whose `validate` has already normalized), the epoch delta
+    /// ([`crate::delta`]) and the pack reader ([`crate::pack`]), which must
+    /// keep stored relevance bit-exact — re-normalizing would change `W·R`
+    /// products and break the pack/text bit-identity. Callers guarantee
+    /// what `validate` checks and this trusts: ids in range, non-zero costs
+    /// whose sum fits `u64`, `required` strictly ascending with
+    /// `C(S₀) ≤ budget`, and one store per subset sized to its members.
     pub(crate) fn assemble(
         photos: Vec<Photo>,
         required: Vec<PhotoId>,
@@ -309,45 +312,6 @@ impl Instance {
     /// the `phocus-pack` writer ([`crate::pack`]) for verbatim section dumps.
     pub(crate) fn membership_csr(&self) -> (&[u32], &[Membership]) {
         (&self.core.membership_offsets, &self.core.membership_data)
-    }
-
-    /// Reassembles an instance from arenas bulk-read out of a `phocus-pack`
-    /// file ([`crate::pack`]): unlike [`assemble`](Self::assemble), the
-    /// membership reverse-index and cost totals arrive prebuilt and are
-    /// installed verbatim — **no derivation, sorting, or validation** runs
-    /// here beyond the O(|S₀|) required-flag scatter. The pack reader has
-    /// already length- and range-checked every array against the section
-    /// table.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_packed_parts(
-        photos: Vec<Photo>,
-        required_ids: Vec<PhotoId>,
-        required_cost: u64,
-        subsets: Vec<Subset>,
-        membership_offsets: Vec<u32>,
-        membership_data: Vec<Membership>,
-        total_cost: u64,
-        budget: u64,
-        sims: Vec<Arc<ContextSim>>,
-    ) -> Instance {
-        let mut required_flags = vec![false; photos.len()];
-        for &r in &required_ids {
-            required_flags[r.index()] = true;
-        }
-        Instance {
-            core: Arc::new(Core {
-                photos,
-                required: required_flags,
-                required_ids,
-                required_cost,
-                subsets,
-                membership_offsets,
-                membership_data,
-                total_cost,
-            }),
-            sims: Arc::new(sims),
-            budget,
-        }
     }
 }
 

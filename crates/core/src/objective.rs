@@ -233,56 +233,6 @@ impl Clone for Evaluator<'_> {
 /// Sentinel for "no selected member covers this one yet".
 const NO_PROVIDER: u32 = u32::MAX;
 
-/// A prebuilt, shareable evaluator layout: the subset → arena offset table
-/// plus the fused `W(q)·R(q,j)` weights, detached from any evaluator.
-///
-/// This is the structure a `phocus-pack` file ([`crate::pack`]) persists so
-/// a pack load can hand [`Evaluator::with_layout`] the exact `wr` bits the
-/// writer derived — no `w * r` recomputation on the load path (the products
-/// would be bit-identical anyway, but the point of the pack is to skip the
-/// derivation entirely).
-#[derive(Debug, Clone)]
-pub struct EvalLayout {
-    layout: Arc<MemberLayout>,
-}
-
-impl EvalLayout {
-    /// Wraps raw arenas (bulk-read from a pack section). The caller
-    /// guarantees `off` is monotone with `off[0] == 0`,
-    /// `off.len() == num_subsets + 1`, and `wr.len() == off[last]`; the pack
-    /// reader checks all three before this runs.
-    pub(crate) fn from_raw(off: Vec<u32>, wr: Vec<f64>) -> Self {
-        debug_assert_eq!(off.first(), Some(&0));
-        debug_assert_eq!(off.last().map(|&o| o as usize), Some(wr.len()));
-        EvalLayout {
-            layout: Arc::new(MemberLayout { off, wr }),
-        }
-    }
-
-    /// The offset table (`off[s]..off[s+1]` spans subset `s`'s members).
-    /// Exposed read-only for verification tooling (round-trip tests, the
-    /// `phocus pack` CLI's inspect output).
-    pub fn off(&self) -> &[u32] {
-        &self.layout.off
-    }
-
-    /// The fused weights `wr[off[s] + j] = W(q_s)·R(q_s, j)`. Exposed
-    /// read-only for verification tooling.
-    pub fn wr(&self) -> &[f64] {
-        &self.layout.wr
-    }
-
-    /// Total member-arena length `Σ_q |q|`.
-    pub fn member_total(&self) -> usize {
-        self.layout.wr.len()
-    }
-
-    /// Number of subsets the layout covers.
-    pub fn num_subsets(&self) -> usize {
-        self.layout.off.len().saturating_sub(1)
-    }
-}
-
 /// Recycled buffer capacity for [`Evaluator`] construction and cloning.
 ///
 /// A fleet run builds one evaluator (plus per-shard clones) per tenant;
@@ -360,47 +310,6 @@ impl<'a> Evaluator<'a> {
             cost: 0,
             gain_evals: AtomicU64::new(0),
             sim_ops: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates an evaluator with an empty solution over a **prebuilt**
-    /// layout (e.g. one loaded from a `phocus-pack` file): the offset table
-    /// and fused `wr` weights are shared behind the layout's `Arc` instead of
-    /// being derived from `inst`'s subsets. Bit-identical to
-    /// [`new`](Self::new) when the layout was captured from (or packed for)
-    /// the same instance — which the length assertions below pin.
-    pub fn with_layout(inst: &'a Instance, layout: &EvalLayout) -> Self {
-        assert_eq!(
-            layout.num_subsets(),
-            inst.num_subsets(),
-            "evaluator layout covers a different subset count than the instance"
-        );
-        let total = layout.member_total();
-        assert_eq!(
-            total,
-            inst.subsets().iter().map(|q| q.members.len()).sum::<usize>(),
-            "evaluator layout covers a different member total than the instance"
-        );
-        Evaluator {
-            inst,
-            selected: vec![false; inst.num_photos()],
-            selected_ids: Vec::new(),
-            layout: Arc::clone(&layout.layout),
-            best: vec![0.0; total],
-            provider: vec![NO_PROVIDER; total],
-            score: 0.0,
-            cost: 0,
-            gain_evals: AtomicU64::new(0),
-            sim_ops: AtomicU64::new(0),
-        }
-    }
-
-    /// The evaluator's layout (offset table + fused weights), shareable with
-    /// other evaluators over the same instance and persistable via
-    /// [`crate::pack`].
-    pub fn capture_layout(&self) -> EvalLayout {
-        EvalLayout {
-            layout: Arc::clone(&self.layout),
         }
     }
 

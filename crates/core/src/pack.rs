@@ -1,25 +1,28 @@
 //! `phocus-pack` v1: a versioned, checksummed binary instance format.
 //!
 //! Every `phocus` entry point used to cold-start through text parse →
-//! builder → validate → arena derivation. The PR 2 refactor made every hot
-//! structure a flat SoA/CSR arena, so this module serializes **exactly
-//! those arenas** — photo/subset tables, the membership reverse-index CSR,
-//! per-subset [`DenseSim`]/[`SparseSim`] stores, the fused `W(q)·R(q,j)`
-//! evaluator weights, and the component shard labels — into a section file
-//! with *validate-once-at-write* semantics:
+//! builder → validate → representation. This module serializes the
+//! represented instance — photo/subset tables, per-subset
+//! [`DenseSim`]/[`SparseSim`] stores, and the component shard labels that
+//! save the solver its union-find — into a section file:
 //!
 //! * [`pack_instance`] takes an already-validated [`Instance`] (the builder
 //!   or the representation pipeline has normalized and checked everything),
-//!   derives the evaluator layout and shard labels once, and writes every
-//!   arena verbatim.
+//!   derives the shard labels once, and writes every arena verbatim. It
+//!   also writes two sections of data derived from the instance, the
+//!   membership reverse index (MEMBERSHIP) and the fused `W(q)·R(q,j)`
+//!   weights (WR); the reader checksums both but never decodes them.
 //! * [`unpack_instance`] parses a fixed-size header and an O(1) section
-//!   table, verifies one FNV-1a checksum per section, and reconstructs the
-//!   [`Instance`], [`EvalLayout`], and [`ShardLabels`] by length-checked
-//!   bulk copies. **No re-derivation, re-sorting, re-normalization, or
-//!   model re-validation** happens on the load path — the only per-element
-//!   work is integrity checking of the container itself (monotone offsets,
-//!   in-range indices, UTF-8 names), which keeps a corrupted file a typed
-//!   [`PackError`] instead of a later panic.
+//!   table, verifies one FNV-1a checksum per section, bulk-copies the
+//!   primary sections and builds the [`Instance`] with the constructor the
+//!   builder uses, which derives the reverse index and cost totals in
+//!   memory. Nothing that constructor would otherwise trust is taken on
+//!   faith: costs are non-zero and their sum fits `u64`, `S₀` ids are
+//!   strictly ascending, META's cost totals match the photos, the budget
+//!   covers `S₀`, and the persisted [`ShardLabels`] keep every interacting
+//!   pair inside one non-pool shard. Together with the container checks
+//!   (monotone offsets, in-range indices, UTF-8 names), a corrupted file is
+//!   a typed [`PackError`] instead of a later panic or a wrong answer.
 //! * [`unpack_instance_checked`] is the same reader for a caller that also
 //!   knows the whole file's [`fnv1a64`] (the catalog index records it). It
 //!   makes one pass over the bytes for both checks: the whole-file chain
@@ -49,8 +52,7 @@
 //! instance — `ci.sh` packs a corpus twice and `cmp`s the files.
 
 use crate::ids::{PhotoId, SubsetId};
-use crate::instance::{Instance, Membership};
-use crate::objective::EvalLayout;
+use crate::instance::Instance;
 use crate::sim::{ContextSim, DenseSim, SparseSim};
 use crate::{shard_labels, Photo, ShardLabels, Subset};
 use std::fmt;
@@ -81,11 +83,13 @@ pub mod kind {
     pub const SUBSETS: u32 = 4;
     /// Subset member CSR + raw normalized relevance bits.
     pub const MEMBERS: u32 = 5;
-    /// Photo → (subset, local) reverse-index CSR.
+    /// Photo → (subset, local) reverse-index CSR. Derived data: checksummed
+    /// on load, never decoded.
     pub const MEMBERSHIP: u32 = 6;
     /// Per-subset similarity stores (unit / dense triangle / sparse CSR).
     pub const SIMS: u32 = 7;
-    /// Evaluator offset table + fused `W(q)·R(q,j)` weights.
+    /// Evaluator offset table + fused `W(q)·R(q,j)` weights. Derived data:
+    /// checksummed on load, never decoded.
     pub const WR: u32 = 8;
     /// Component shard labels.
     pub const LABELS: u32 = 9;
@@ -258,19 +262,16 @@ impl fmt::Display for PackError {
 
 impl std::error::Error for PackError {}
 
-/// Everything a pack load reconstructs: the instance plus the two derived
-/// structures the solvers would otherwise recompute on every cold start.
+/// Everything a pack load reconstructs: the instance plus the shard labels
+/// the solver would otherwise recompute by union-find on every cold start.
 #[derive(Debug, Clone)]
 pub struct PackedInstance {
-    /// The instance, arenas installed verbatim.
+    /// The instance, built from the primary sections.
     pub instance: Instance,
-    /// Component shard labels, equal to `shard_labels(&instance)` by
-    /// construction at write time.
+    /// Component shard labels: `shard_labels(&instance)` at write time, and
+    /// checked on load to keep every interacting pair inside one non-pool
+    /// shard.
     pub labels: ShardLabels,
-    /// The evaluator layout (offset table + fused `wr` weights) the writer
-    /// derived; [`crate::Evaluator::with_layout`] consumes it without
-    /// recomputing a single product.
-    pub layout: EvalLayout,
 }
 
 // ---------------------------------------------------------------------------
@@ -332,11 +333,10 @@ impl W {
 
 /// Serializes `inst` into a `phocus-pack` v1 byte image.
 ///
-/// Derives the shard labels and the evaluator `wr` layout here — once, at
-/// write time — so loads install them verbatim. The `wr` products are
-/// computed by the exact left-associated `w * r` loop
-/// [`crate::Evaluator::new`] runs, so an evaluator built over the loaded
-/// layout is bit-identical to one built over the text-parsed instance.
+/// Derives the shard labels here — once, at write time — so loads skip the
+/// union-find. The MEMBERSHIP and WR sections hold the reverse index and
+/// the fused `w * r` weights of the instance; the reader verifies their
+/// checksums and derives both in memory instead.
 ///
 /// Fails with [`PackError::Unrepresentable`] — before producing any bytes —
 /// when a count or string-table total exceeds the format's u32 fields; no
@@ -431,7 +431,7 @@ pub fn pack_instance(inst: &Instance) -> Result<Vec<u8>, PackError> {
         sections.push((kind::MEMBERS, w.buf));
     }
 
-    // MEMBERSHIP: the photo → (subset, local) reverse-index CSR, verbatim.
+    // MEMBERSHIP: the photo → (subset, local) reverse-index CSR.
     {
         let (offsets, data) = inst.membership_csr();
         let mut w = W { buf: Vec::new() };
@@ -471,8 +471,8 @@ pub fn pack_instance(inst: &Instance) -> Result<Vec<u8>, PackError> {
         sections.push((kind::SIMS, w.buf));
     }
 
-    // WR: the evaluator layout — the same left-associated `w * r` loop
-    // `Evaluator::new` runs, executed once here so loads never run it.
+    // WR: the evaluator offset table and the left-associated `w * r`
+    // products `Evaluator::new` derives.
     {
         let mut w = W { buf: Vec::new() };
         let mut off = Vec::with_capacity(m + 1);
@@ -694,7 +694,7 @@ struct Meta {
 
 /// Deserializes a `phocus-pack` v1 byte image produced by
 /// [`pack_instance`], returning the reconstructed instance plus the
-/// persisted evaluator layout and shard labels.
+/// persisted shard labels.
 pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
     decode(read_table(bytes, None)?)
 }
@@ -828,10 +828,13 @@ fn read_table<'a>(
     Ok(by_kind)
 }
 
-/// Decodes the sections of a walked table into the instance, its evaluator
-/// layout and its shard labels.
+/// Decodes the primary sections of a walked table into the instance and
+/// its shard labels. MEMBERSHIP and WR passed their checksums in the table
+/// walk and are not read: `Instance::assemble` derives the reverse index in
+/// memory, and the evaluator derives the fused weights.
 fn decode(by_kind: Sections<'_>) -> Result<PackedInstance, PackError> {
     let section = |k: u32| by_kind[k as usize].ok_or(PackError::MissingSection { kind: k });
+    let malformed = |kind: u32, what: &'static str| PackError::Malformed { kind, what };
 
     // --- META ---
     let meta = {
@@ -851,8 +854,18 @@ fn decode(by_kind: Sections<'_>) -> Result<PackedInstance, PackError> {
         // checks, but reject the obviously hostile values here so the error
         // points at the right section.
         let max = u32::MAX as u64;
-        if num_photos > max || num_subsets > max || member_total > max || num_required > max {
-            return Err(PackError::Malformed { kind: kind::META, what: "count exceeds u32 range" });
+        if num_photos > max
+            || num_subsets > max
+            || member_total > max
+            || num_required > max
+            || num_shards > max
+        {
+            return Err(malformed(kind::META, "count exceeds u32 range"));
+        }
+        // `u64::MAX` marks "no pool"; anything else names a shard.
+        let singleton_pool = (singleton_pool != u64::MAX).then_some(singleton_pool);
+        if singleton_pool.is_some_and(|pool| pool >= num_shards) {
+            return Err(malformed(kind::LABELS, "singleton pool index out of range"));
         }
         Meta {
             budget,
@@ -863,39 +876,62 @@ fn decode(by_kind: Sections<'_>) -> Result<PackedInstance, PackError> {
             required_cost,
             total_cost,
             num_shards: num_shards as usize,
-            singleton_pool: (singleton_pool != u64::MAX).then_some(singleton_pool as usize),
+            // phocus-lint: allow(cast-bounds) — below num_shards ≤
+            // u32::MAX, both checked above.
+            singleton_pool: singleton_pool.map(|pool| pool as usize),
         }
     };
     let n = meta.num_photos;
     let m = meta.num_subsets;
 
     // --- PHOTOS ---
-    let photos = {
+    // As in the builder: every later cost sum (C(S₀), a solution's C(S),
+    // the solvers' budget tests) is a sub-sum of the total over distinct
+    // photos, so a total that fits u64 keeps all of them from wrapping.
+    let (photos, total_cost) = {
         let mut r = R::new(kind::PHOTOS, section(kind::PHOTOS)?);
         let costs = r.vec_u64(n)?;
         let names = r.strings(n)?;
         r.finish()?;
-        costs
+        let mut total = 0u64;
+        for &cost in &costs {
+            if cost == 0 {
+                return Err(malformed(kind::PHOTOS, "photo cost is zero"));
+            }
+            total = total
+                .checked_add(cost)
+                .ok_or(malformed(kind::PHOTOS, "photo costs overflow u64"))?;
+        }
+        let photos = costs
             .into_iter()
             .zip(names)
             .enumerate()
             .map(|(i, (cost, name))| Photo { id: PhotoId(i as u32), name, cost })
-            .collect::<Vec<_>>()
+            .collect::<Vec<_>>();
+        (photos, total)
     };
 
     // --- REQUIRED ---
-    let required_ids = {
+    let (required_ids, required_cost) = {
         let mut r = R::new(kind::REQUIRED, section(kind::REQUIRED)?);
         let ids = r.vec_u32(meta.num_required)?;
         r.finish()?;
-        if ids.iter().any(|&p| p as usize >= n) {
-            return Err(PackError::Malformed {
-                kind: kind::REQUIRED,
-                what: "required photo id out of range",
-            });
+        // The builder sorts and dedups S₀; the instance relies on it.
+        if !ids.windows(2).all(|w| w[0] < w[1]) {
+            return Err(malformed(kind::REQUIRED, "required photo ids not strictly ascending"));
         }
-        ids.into_iter().map(PhotoId).collect::<Vec<_>>()
+        if ids.last().is_some_and(|&p| p as usize >= n) {
+            return Err(malformed(kind::REQUIRED, "required photo id out of range"));
+        }
+        let cost = ids.iter().map(|&p| photos[p as usize].cost).sum::<u64>();
+        (ids.into_iter().map(PhotoId).collect::<Vec<_>>(), cost)
     };
+    if meta.total_cost != total_cost || meta.required_cost != required_cost {
+        return Err(malformed(kind::META, "cost totals differ from the photo costs"));
+    }
+    if meta.budget < required_cost {
+        return Err(malformed(kind::META, "budget below the required set's cost"));
+    }
 
     // --- SUBSETS + MEMBERS ---
     let (weights, labels_tab) = {
@@ -912,10 +948,7 @@ fn decode(by_kind: Sections<'_>) -> Result<PackedInstance, PackError> {
         let relevance = r.vec_f64(meta.member_total)?;
         r.finish()?;
         if members.iter().any(|&p| p as usize >= n) {
-            return Err(PackError::Malformed {
-                kind: kind::MEMBERS,
-                what: "member photo id out of range",
-            });
+            return Err(malformed(kind::MEMBERS, "member photo id out of range"));
         }
         let mut subsets = Vec::with_capacity(m);
         for (s, (weight, label)) in weights.into_iter().zip(labels_tab).enumerate() {
@@ -932,46 +965,46 @@ fn decode(by_kind: Sections<'_>) -> Result<PackedInstance, PackError> {
         subsets
     };
 
-    // --- MEMBERSHIP ---
-    let (membership_offsets, membership_data) = {
-        let mut r = R::new(kind::MEMBERSHIP, section(kind::MEMBERSHIP)?);
-        let offsets = read_csr_offsets(&mut r, n, meta.member_total)?;
-        let pairs = r.vec_u32(meta.member_total * 2)?;
+    // --- LABELS ---
+    // Decoded before SIMS, whose loop checks them store by store while each
+    // store's indices are in cache.
+    let photo_shard = {
+        let mut r = R::new(kind::LABELS, section(kind::LABELS)?);
+        let photo_shard = r.vec_u32(n)?;
         r.finish()?;
-        let mut data = Vec::with_capacity(meta.member_total);
-        for c in pairs.chunks_exact(2) {
-            let (s, local) = (c[0], c[1]);
-            let q = subsets.get(s as usize).ok_or(PackError::Malformed {
-                kind: kind::MEMBERSHIP,
-                what: "membership subset id out of range",
-            })?;
-            if local as usize >= q.members.len() {
-                return Err(PackError::Malformed {
-                    kind: kind::MEMBERSHIP,
-                    what: "membership local index out of range",
-                });
-            }
-            data.push(Membership { subset: SubsetId(s), local });
+        if photo_shard.iter().any(|&s| s as usize >= meta.num_shards) {
+            return Err(malformed(kind::LABELS, "shard label out of range"));
         }
-        (offsets, data)
+        if n > 0 && meta.num_shards == 0 {
+            return Err(malformed(kind::LABELS, "photos present but zero shards"));
+        }
+        photo_shard
     };
 
     // --- SIMS ---
     let sims = {
         let mut r = R::new(kind::SIMS, section(kind::SIMS)?);
         let mut sims = Vec::with_capacity(m);
+        // Shard of each member of the current subset.
+        let mut member_shard = Vec::new();
         for q in &subsets {
             let tag = r.u32()?;
             let len = r.usize()?;
             if len != q.members.len() {
-                return Err(PackError::Malformed {
-                    kind: kind::SIMS,
-                    what: "similarity store length differs from subset size",
-                });
+                return Err(malformed(
+                    kind::SIMS,
+                    "similarity store length differs from subset size",
+                ));
             }
+            member_shard.clear();
+            member_shard.extend(q.members.iter().map(|p| photo_shard[p.index()]));
             let store = match tag {
-                0 => ContextSim::Unit(len),
+                0 => {
+                    check_clique(&member_shard, meta.singleton_pool)?;
+                    ContextSim::Unit(len)
+                }
                 1 => {
+                    check_clique(&member_shard, meta.singleton_pool)?;
                     let tri = r.vec_f32(len * len.saturating_sub(1) / 2)?;
                     ContextSim::Dense(DenseSim::from_raw_tri(len, tri))
                 }
@@ -980,20 +1013,10 @@ fn decode(by_kind: Sections<'_>) -> Result<PackedInstance, PackError> {
                     let offsets = read_csr_offsets(&mut r, len, edges)?;
                     let neighbor_idx = r.vec_u32(edges)?;
                     let sim = r.vec_f32(edges)?;
-                    if neighbor_idx.iter().any(|&j| j as usize >= len) {
-                        return Err(PackError::Malformed {
-                            kind: kind::SIMS,
-                            what: "sparse neighbor index out of range",
-                        });
-                    }
+                    check_csr(&offsets, &neighbor_idx, &member_shard, meta.singleton_pool)?;
                     ContextSim::Sparse(SparseSim::from_raw_csr(offsets, neighbor_idx, sim))
                 }
-                _ => {
-                    return Err(PackError::Malformed {
-                        kind: kind::SIMS,
-                        what: "unknown similarity store tag",
-                    })
-                }
+                _ => return Err(malformed(kind::SIMS, "unknown similarity store tag")),
             };
             sims.push(Arc::new(store));
         }
@@ -1001,74 +1024,74 @@ fn decode(by_kind: Sections<'_>) -> Result<PackedInstance, PackError> {
         sims
     };
 
-    // --- WR ---
-    let layout = {
-        let mut r = R::new(kind::WR, section(kind::WR)?);
-        let off = read_csr_offsets(&mut r, m, meta.member_total)?;
-        // The evaluator addresses subset `s`'s members at `off[s] + j` for
-        // `j < |q_s|`, so each span must match the subset's member count
-        // exactly — otherwise a fused weight would be read for the wrong
-        // member.
-        for (s, q) in subsets.iter().enumerate() {
-            if (off[s + 1] - off[s]) as usize != q.members.len() {
-                return Err(PackError::Malformed {
-                    kind: kind::WR,
-                    what: "wr offset span differs from subset size",
-                });
+    let labels = ShardLabels::from_parts(photo_shard, meta.num_shards, meta.singleton_pool);
+    let instance = Instance::assemble(photos, required_ids, subsets, meta.budget, sims);
+    Ok(PackedInstance { instance, labels })
+}
+
+/// The refusal of a labeling that splits or pools an interacting pair.
+const SPLIT_LABELS: PackError = PackError::Malformed {
+    kind: kind::LABELS,
+    what: "shard labels split or pool an interacting pair",
+};
+
+/// The label check for a dense or unit store, which couples every pair of
+/// its members: with two or more members, all lie in one non-pool shard.
+/// `member_shard` holds the members' shards. See [`check_csr`].
+fn check_clique(member_shard: &[u32], pool: Option<usize>) -> Result<(), PackError> {
+    match member_shard {
+        [first, rest @ ..] if !rest.is_empty() => {
+            if Some(*first as usize) == pool || rest.iter().any(|s| s != first) {
+                return Err(SPLIT_LABELS);
+            }
+            Ok(())
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Checks a sparse store's CSR against its subset: every neighbour index is
+/// a member (a SIMS error otherwise), and every stored neighbour shares its
+/// row's shard, which is not the singleton pool (a LABELS error otherwise).
+///
+/// This and [`check_clique`] stand in for the union-find the persisted
+/// labels save, at one comparison per stored entry. They require what the
+/// sharded solver's bit-identity rests on (`par-algo`'s `sharded.rs`): no
+/// interaction crosses shards, and pooled photos share no stored pair, so
+/// their frozen seed keys stay exact. A labeling that also merges
+/// components passes, and is safe.
+fn check_csr(
+    offsets: &[u32],
+    neighbor_idx: &[u32],
+    member_shard: &[u32],
+    pool: Option<usize>,
+) -> Result<(), PackError> {
+    for (w, &s) in offsets.windows(2).zip(member_shard) {
+        let row = &neighbor_idx[w[0] as usize..w[1] as usize];
+        if !row.is_empty() && Some(s as usize) == pool {
+            return Err(SPLIT_LABELS);
+        }
+        for &j in row {
+            match member_shard.get(j as usize) {
+                None => {
+                    return Err(PackError::Malformed {
+                        kind: kind::SIMS,
+                        what: "sparse neighbor index out of range",
+                    })
+                }
+                Some(&t) if t != s => return Err(SPLIT_LABELS),
+                Some(_) => {}
             }
         }
-        let wr = r.vec_f64(meta.member_total)?;
-        r.finish()?;
-        EvalLayout::from_raw(off, wr)
-    };
-
-    // --- LABELS ---
-    let labels = {
-        let mut r = R::new(kind::LABELS, section(kind::LABELS)?);
-        let photo_shard = r.vec_u32(n)?;
-        r.finish()?;
-        if photo_shard.iter().any(|&s| s as usize >= meta.num_shards) {
-            return Err(PackError::Malformed {
-                kind: kind::LABELS,
-                what: "shard label out of range",
-            });
-        }
-        if let Some(pool) = meta.singleton_pool {
-            if pool >= meta.num_shards {
-                return Err(PackError::Malformed {
-                    kind: kind::LABELS,
-                    what: "singleton pool index out of range",
-                });
-            }
-        }
-        if n > 0 && meta.num_shards == 0 {
-            return Err(PackError::Malformed {
-                kind: kind::LABELS,
-                what: "photos present but zero shards",
-            });
-        }
-        ShardLabels::from_parts(photo_shard, meta.num_shards, meta.singleton_pool)
-    };
-
-    let instance = Instance::from_packed_parts(
-        photos,
-        required_ids,
-        meta.required_cost,
-        subsets,
-        membership_offsets,
-        membership_data,
-        meta.total_cost,
-        meta.budget,
-        sims,
-    );
-    Ok(PackedInstance { instance, labels, layout })
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::{figure1_instance, random_instance, RandomInstanceConfig, MB};
-    use crate::{exact_score, Evaluator};
+    use crate::exact_score;
     use proptest::prelude::*;
 
     /// SplitMix64: one generated seed drives a whole byte string.
@@ -1214,25 +1237,6 @@ mod tests {
             assert_eq!(got.membership_csr().0, inst.membership_csr().0);
             assert_eq!(got.membership_csr().1, inst.membership_csr().1);
             assert_eq!(packed.labels, shard_labels(&inst));
-        }
-    }
-
-    #[test]
-    fn loaded_layout_matches_fresh_evaluator() {
-        for inst in fixtures() {
-            let bytes = pack_instance(&inst).expect("packable");
-            let packed = unpack_instance(&bytes).expect("round trip");
-            let fresh = Evaluator::new(&packed.instance);
-            let loaded = Evaluator::with_layout(&packed.instance, &packed.layout);
-            let captured = fresh.capture_layout();
-            assert_eq!(captured.off(), packed.layout.off());
-            let same_bits = captured
-                .wr()
-                .iter()
-                .zip(packed.layout.wr())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same_bits, "fused wr weights drifted through the pack");
-            drop(loaded);
         }
     }
 

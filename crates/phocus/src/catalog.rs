@@ -196,7 +196,7 @@ impl Catalog {
     /// Loads one tenant's instance from its pack: one file read, then one
     /// pass over the bytes that checks the whole-file checksum and every
     /// section checksum before the bulk load. Returns the reconstructed
-    /// instance with its persisted evaluator layout and shard labels.
+    /// instance with its persisted shard labels.
     pub fn load(&self, entry: &CatalogEntry) -> Result<PackedInstance> {
         let path = self.root.join(&entry.pack);
         let bytes = std::fs::read(&path).map_err(|e| io_err(&path, &e))?;

@@ -39,6 +39,14 @@ pub enum PhocusError {
         /// What was wrong with it.
         message: String,
     },
+    /// A [`RepresentationConfig`](crate::RepresentationConfig) field that
+    /// LSH sparsification cannot honour: it hashes contextual embeddings and
+    /// never evaluates a pair distance, so there is nothing to mix EXIF into
+    /// or to normalize per context.
+    UnsupportedWithLsh {
+        /// The configuration field.
+        field: &'static str,
+    },
     /// The budget-planner quality target is outside `(0, 1]` (or NaN).
     InvalidTarget(f64),
     /// A compression [`ActionLadder`](crate::ActionLadder) level is unusable:
@@ -69,6 +77,9 @@ impl fmt::Display for PhocusError {
             PhocusError::Pack(e) => write!(f, "{e}"),
             PhocusError::Catalog { entry, message } => {
                 write!(f, "catalog {entry}: {message}")
+            }
+            PhocusError::UnsupportedWithLsh { field } => {
+                write!(f, "representation field `{field}` is not supported with LSH sparsification")
             }
             PhocusError::InvalidTarget(t) => {
                 write!(f, "quality target {t} is not in (0, 1]")

@@ -122,7 +122,7 @@ impl TenantOutcome {
 pub struct PackedTenant {
     /// Tenant name (from the catalog index).
     pub name: String,
-    /// The loaded pack: instance + evaluator layout + shard labels.
+    /// The loaded pack: instance + shard labels.
     pub packed: PackedInstance,
 }
 

@@ -53,7 +53,7 @@ pub use fleet::{
     PackedTenant, TenantOutcome, TenantReport,
 };
 pub use par_exec::Parallelism;
-pub use planner::{minimal_budget, minimal_budget_with, BudgetPlan};
+pub use planner::{minimal_budget, BudgetPlan};
 pub use report::render_report;
 pub use representation::{non_contextual_view, represent, RepresentationConfig, Sparsification};
 pub use session::{ArchiveSession, EpochSolve};

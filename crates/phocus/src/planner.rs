@@ -9,8 +9,8 @@
 
 use crate::error::{PhocusError, Result};
 use crate::representation::{represent, RepresentationConfig};
+use par_algo::{GreedyRule, ShardedSolver};
 use par_datasets::Universe;
-use par_exec::Parallelism;
 
 /// The outcome of a budget search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,35 +28,17 @@ pub struct BudgetPlan {
 /// Finds (to within `tolerance` bytes) the minimal budget at which
 /// Algorithm 1 achieves `target_fraction` of the maximum quality `Σ W(q)`.
 ///
+/// Similarity stores do not depend on the budget, so the universe is
+/// represented once, at the archive cost, and one prepared
+/// [`ShardedSolver`] answers every probe with both greedy rules
+/// ([`ShardedSolver::solve_with_budget`], bit-identical to Algorithm 1 on
+/// the instance at that budget). Runs on the installed worker threads; the
+/// plan is identical at every thread count.
+///
 /// Returns an error from representation if the universe is invalid;
 /// `target_fraction` must be in `(0, 1]`. A target of exactly 1.0 returns
 /// the full archive cost (only full retention scores Σ W(q)).
 pub fn minimal_budget(
-    universe: &Universe,
-    target_fraction: f64,
-    cfg: &RepresentationConfig,
-    tolerance: u64,
-) -> Result<BudgetPlan> {
-    minimal_budget_with(universe, target_fraction, cfg, tolerance, Parallelism::default())
-}
-
-/// [`minimal_budget`] with an explicit worker-thread configuration for the
-/// parallel kernels used by every probe. The plan is identical at every
-/// thread count; only wall-clock changes.
-pub fn minimal_budget_with(
-    universe: &Universe,
-    target_fraction: f64,
-    cfg: &RepresentationConfig,
-    tolerance: u64,
-    parallelism: Parallelism,
-) -> Result<BudgetPlan> {
-    let prev = parallelism.install_global();
-    let result = minimal_budget_inner(universe, target_fraction, cfg, tolerance);
-    prev.install_global();
-    result
-}
-
-fn minimal_budget_inner(
     universe: &Universe,
     target_fraction: f64,
     cfg: &RepresentationConfig,
@@ -68,12 +50,17 @@ fn minimal_budget_inner(
     let total = universe.total_cost();
     let tolerance = tolerance.max(1);
 
+    let inst = represent(universe, total, cfg)?;
+    let solver = ShardedSolver::new(&inst);
+    let max_score = inst.max_score().max(f64::MIN_POSITIVE);
     let mut probes = 0usize;
-    let mut achieved = |budget: u64| -> Result<f64> {
+    let mut achieved = |budget: u64| -> f64 {
         probes += 1;
-        let inst = represent(universe, budget, cfg)?;
-        let out = par_algo::main_algorithm(&inst);
-        Ok(out.best.score / inst.max_score().max(f64::MIN_POSITIVE))
+        let (uc, cb) = par_exec::join(
+            || solver.solve_with_budget(GreedyRule::UnitCost, budget),
+            || solver.solve_with_budget(GreedyRule::CostBenefit, budget),
+        );
+        uc.score.max(cb.score) / max_score
     };
 
     // The required set is the floor of feasible budgets.
@@ -87,7 +74,7 @@ fn minimal_budget_inner(
     let mut hi_fraction = 1.0;
 
     // Early exit: maybe the floor already suffices.
-    let lo_fraction = achieved(lo.max(1))?;
+    let lo_fraction = achieved(lo.max(1));
     if lo_fraction >= target_fraction {
         return Ok(BudgetPlan {
             budget: lo.max(1),
@@ -99,7 +86,7 @@ fn minimal_budget_inner(
 
     while hi - lo > tolerance {
         let mid = lo + (hi - lo) / 2;
-        let f = achieved(mid)?;
+        let f = achieved(mid);
         if f >= target_fraction {
             hi = mid;
             hi_fraction = f;
@@ -171,6 +158,77 @@ mod tests {
             "needed {:.3} of storage",
             plan.budget_fraction
         );
+    }
+
+    /// Reference: the same search with a fresh representation and the
+    /// global Algorithm 1 oracle at every probe.
+    fn per_probe_plan(
+        u: &Universe,
+        target: f64,
+        cfg: &RepresentationConfig,
+        tol: u64,
+    ) -> BudgetPlan {
+        let total = u.total_cost();
+        let mut probes = 0;
+        let mut achieved = |budget: u64| {
+            probes += 1;
+            let inst = represent(u, budget, cfg).unwrap();
+            par_algo::main_algorithm(&inst).best.score / inst.max_score().max(f64::MIN_POSITIVE)
+        };
+        let floor: u64 = u.required.iter().map(|&r| u.costs[r as usize]).sum();
+        let (mut lo, mut hi, mut hi_fraction) = (floor, total, 1.0);
+        let lo_fraction = achieved(lo.max(1));
+        if lo_fraction >= target {
+            let budget = lo.max(1);
+            return BudgetPlan {
+                budget,
+                achieved_fraction: lo_fraction,
+                budget_fraction: budget as f64 / total as f64,
+                probes,
+            };
+        }
+        while hi - lo > tol {
+            let mid = lo + (hi - lo) / 2;
+            let f = achieved(mid);
+            if f >= target {
+                (hi, hi_fraction) = (mid, f);
+            } else {
+                lo = mid;
+            }
+        }
+        BudgetPlan {
+            budget: hi,
+            achieved_fraction: hi_fraction,
+            budget_fraction: hi as f64 / total as f64,
+            probes,
+        }
+    }
+
+    #[test]
+    fn one_representation_plans_like_one_per_probe() {
+        for seed in [61, 62, 63] {
+            let mut u = generate_openimages(&OpenImagesConfig {
+                name: "plan".into(),
+                photos: 120,
+                target_subsets: 25,
+                seed,
+                ..Default::default()
+            });
+            u.required = vec![0, 5];
+            let tol = u.total_cost() / 100;
+            for cfg in [RepresentationConfig::default(), RepresentationConfig::phocus(0.6)] {
+                for target in [0.05, 0.3, 0.5, 0.7, 0.9, 1.0] {
+                    let plan = minimal_budget(&u, target, &cfg, tol).unwrap();
+                    let reference = per_probe_plan(&u, target, &cfg, tol);
+                    assert_eq!(plan.budget, reference.budget, "seed {seed} target {target}");
+                    assert_eq!(plan.probes, reference.probes);
+                    assert_eq!(
+                        plan.achieved_fraction.to_bits(),
+                        reference.achieved_fraction.to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,9 +55,12 @@ pub struct RepresentationConfig {
     /// (1 ⇒ effectively non-contextual).
     pub blend: f32,
     /// EXIF context-distance mixing weight `γ` (0 disables; ignored when the
-    /// universe carries no EXIF).
+    /// universe carries no EXIF). Dense and threshold representations only:
+    /// with [`Sparsification::Lsh`] on a universe carrying EXIF, a positive
+    /// weight is a [`PhocusError::UnsupportedWithLsh`].
     pub exif_weight: f64,
-    /// Per-context max-distance normalization (Section 5.1).
+    /// Per-context max-distance normalization (Section 5.1). Dense and
+    /// threshold representations only, like `exif_weight`.
     pub normalize_per_context: bool,
     /// Similarity sparsification mode.
     pub sparsification: Sparsification,
@@ -215,8 +218,10 @@ fn dense_store_contextual(
 /// representation choices into a validated, solvable instance.
 ///
 /// Returns a [`PhocusError`] wrapping the failing layer: a model violation
-/// from instance building, or an LSH planning failure when the sparsification
-/// threshold or recall target is not a valid parameter.
+/// from instance building, an LSH planning failure when the sparsification
+/// threshold or recall target is not a valid parameter, or
+/// [`PhocusError::UnsupportedWithLsh`] when LSH is asked to mix EXIF or
+/// normalize per context, which it cannot do.
 pub fn represent(universe: &Universe, budget: u64, cfg: &RepresentationConfig) -> Result<Instance> {
     let builder = builder_from_universe(universe, budget);
     match cfg.sparsification {
@@ -252,6 +257,12 @@ pub fn represent(universe: &Universe, budget: u64, cfg: &RepresentationConfig) -
             target_recall,
             seed,
         } => {
+            if cfg.normalize_per_context {
+                return Err(PhocusError::UnsupportedWithLsh { field: "normalize_per_context" });
+            }
+            if cfg.exif_weight > 0.0 && universe.exif.is_some() {
+                return Err(PhocusError::UnsupportedWithLsh { field: "exif_weight" });
+            }
             let contexts = context_vectors(universe, cfg);
             let subsets = reconstruct_subsets(universe);
 
@@ -452,6 +463,46 @@ mod tests {
             "LSH found {lsh_pairs} of {exact_pairs} pairs"
         );
         assert!(lsh_pairs <= exact_pairs, "LSH must not invent pairs");
+    }
+
+    /// LSH never evaluates a pair distance, so it cannot mix EXIF into one
+    /// or normalize it: asking for either is a typed error naming the
+    /// field, not a store built as if the field were unset.
+    #[test]
+    fn lsh_refuses_fields_it_cannot_apply() {
+        let mut u = small_universe(7);
+        let budget = u.total_cost() / 3;
+        let lsh = |exif_weight, normalize_per_context| RepresentationConfig {
+            exif_weight,
+            normalize_per_context,
+            ..RepresentationConfig::phocus(0.3)
+        };
+        // Without EXIF, a weight is ignored by every representation.
+        assert!(represent(&u, budget, &lsh(0.4, false)).is_ok());
+        let unsupported = |field| Err(PhocusError::UnsupportedWithLsh { field });
+        assert_eq!(
+            represent(&u, budget, &lsh(0.0, true)).map(|_| ()),
+            unsupported("normalize_per_context")
+        );
+        u.exif = Some(
+            (0..u.num_photos())
+                .map(|i| par_embed::ExifData::synthesize((i % 13) as u64, i as u64))
+                .collect(),
+        );
+        assert_eq!(
+            represent(&u, budget, &lsh(0.4, false)).map(|_| ()),
+            unsupported("exif_weight")
+        );
+        assert!(represent(&u, budget, &lsh(0.0, false)).is_ok());
+        // The dense-then-threshold path applies the weight.
+        let threshold = |exif_weight| RepresentationConfig {
+            exif_weight,
+            sparsification: Sparsification::Threshold { tau: 0.3 },
+            ..Default::default()
+        };
+        let plain = represent(&u, budget, &threshold(0.0)).unwrap();
+        let mixed = represent(&u, budget, &threshold(0.4)).unwrap();
+        assert_ne!(plain.stored_pairs(), mixed.stored_pairs());
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! bug. The generators are seeded, so CI runs a fixed, reproducible corpus
 //! (see `ci.sh`).
 
+use par_algo::{main_algorithm_packed, SolveScratch};
 use par_core::fixtures::{random_instance, RandomInstanceConfig};
+use par_core::pack::kind;
 use par_core::{
-    fnv1a64, pack_instance, unpack_instance, InstanceBuilder, ModelError, PhotoId, SparseSim,
-    SubsetId, UnitSimilarity,
+    fnv1a64, pack_instance, shard_labels, unpack_instance, Instance, InstanceBuilder, ModelError,
+    PackError, PhotoId, SparseSim, SubsetId, UnitSimilarity,
 };
 use par_datasets::{from_text, to_text, DatasetError, SubsetDef, Universe};
 use par_embed::Embedding;
@@ -445,7 +447,12 @@ proptest! {
             bytes[i] ^= 1 << (splitmix(&mut s) % 8);
         }
         pack_fix_checksum(&mut bytes, sec);
-        let _ = unpack_instance(&bytes);
+        let loaded = unpack_instance(&bytes);
+        // MEMBERSHIP and WR hold derived data the reader never decodes: a
+        // load past their (repaired) checksums is the untampered load.
+        if [kind::MEMBERSHIP, kind::WR].contains(&(sec as u32 + 1)) {
+            assert_loads_as_original(loaded, &base_pack());
+        }
     }
 
     /// Raw byte soup, optionally behind a valid header+table prefix so the
@@ -481,6 +488,180 @@ fn pack_reader_caps_allocations_before_trusting_counts() {
     pack_fix_checksum(&mut bytes, 0);
     let err = unpack_instance(&bytes).expect_err("hostile count must not load");
     assert!(!err.to_string().is_empty());
+}
+
+/// Asserts that `loaded` is the load of `original`: the same instance (the
+/// writer re-derives every section from it, so re-packing reproduces the
+/// image) and the same persisted labels.
+fn assert_loads_as_original(loaded: Result<par_core::PackedInstance, PackError>, original: &[u8]) {
+    let loaded = loaded.expect("tampering with derived data must not fail the load");
+    let reference = unpack_instance(original).expect("original pack loads");
+    let repacked = pack_instance(&loaded.instance).expect("packable");
+    assert!(repacked == original, "the loaded instance differs from the untampered one");
+    assert_eq!(loaded.labels, reference.labels);
+}
+
+// ---------------------------------------------------------------------------
+// Checksum-valid packs whose sections disagree with each other. Each case
+// edits one section, repairs its checksum, and must load as a typed error
+// or give the answer the untampered pack gives — never a wrong answer.
+// ---------------------------------------------------------------------------
+
+/// The probe: sparse stores, a required set, several multi-photo shards and
+/// a singleton pool.
+fn probe() -> (Instance, Vec<u8>) {
+    let inst = random_instance(
+        7,
+        &RandomInstanceConfig {
+            photos: 60,
+            subsets: 15,
+            required_prob: 0.15,
+            ..Default::default()
+        },
+    )
+    .sparsify(0.5);
+    let bytes = pack_instance(&inst).expect("probe packs");
+    (inst, bytes)
+}
+
+/// `bytes` with section `kind`'s payload rewritten by `edit` and its
+/// checksum repaired. The writer emits kinds 1..=9 in table order.
+fn tamper(bytes: &[u8], kind: u32, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let i = kind as usize - 1;
+    let (offset, len) = pack_section_bounds(&out, i);
+    edit(&mut out[offset..offset + len]);
+    pack_fix_checksum(&mut out, i);
+    out
+}
+
+fn get_u32(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().unwrap())
+}
+
+fn put_u32(b: &mut [u8], at: usize, v: u32) {
+    b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+fn get_u64(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
+}
+
+fn put_u64(b: &mut [u8], at: usize, v: u64) {
+    b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Algorithm 1 on a loaded pack and its persisted labels, as catalog
+/// serving runs it: the selection, score bits and cost.
+fn serve(bytes: &[u8]) -> (Vec<PhotoId>, u64, u64) {
+    let loaded = unpack_instance(bytes).expect("pack loads");
+    let out = main_algorithm_packed(&loaded.instance, loaded.labels, &mut SolveScratch::default());
+    (out.best.selected, out.best.score.to_bits(), out.best.cost)
+}
+
+fn assert_malformed(bytes: &[u8], section: u32) {
+    match unpack_instance(bytes) {
+        Err(PackError::Malformed { kind, .. }) if kind == section => {}
+        other => panic!("expected section {section} to be malformed, got {:?}", other.map(|_| ())),
+    }
+}
+
+/// A budget below `C(S₀)` would serve a set over budget.
+#[test]
+fn pack_budget_below_required_cost_is_refused() {
+    let (inst, bytes) = probe();
+    assert!(inst.required_cost() > 1);
+    let tampered = tamper(&bytes, kind::META, |b| put_u64(b, 0, inst.required_cost() / 2));
+    assert_malformed(&tampered, kind::META);
+}
+
+/// The reverse index is derived from MEMBERS on load, so entries pointing
+/// at the wrong member change nothing.
+#[test]
+fn pack_membership_entries_are_derived_not_trusted() {
+    let (inst, bytes) = probe();
+    let mut retargeted = 0;
+    let tampered = tamper(&bytes, kind::MEMBERSHIP, |b| {
+        // n + 1 offsets, then one (subset, local) pair per entry.
+        let mut at = (inst.num_photos() + 1) * 4;
+        while retargeted < 5 && at + 8 <= b.len() {
+            let size = inst.subset(SubsetId(get_u32(b, at))).members.len() as u32;
+            if size >= 2 {
+                put_u32(b, at + 4, (get_u32(b, at + 4) + 1) % size);
+                retargeted += 1;
+            }
+            at += 8;
+        }
+    });
+    assert_eq!(retargeted, 5);
+    assert_loads_as_original(unpack_instance(&tampered), &bytes);
+    assert_eq!(serve(&tampered), serve(&bytes));
+}
+
+/// Labels that split interacting photos would run them as independent
+/// streams and serve a worse, wrong set.
+#[test]
+fn pack_labels_splitting_an_interaction_are_refused() {
+    let (inst, bytes) = probe();
+    let shards = shard_labels(&inst).num_shards();
+    assert!(shards >= 3);
+    let tampered = tamper(&bytes, kind::LABELS, |b| {
+        for p in 0..inst.num_photos() {
+            put_u32(b, 4 * p, (p % shards) as u32);
+        }
+    });
+    assert_malformed(&tampered, kind::LABELS);
+}
+
+/// Labels that merge components still keep every interaction in one
+/// shard, so they stay accepted and serve the same answer.
+#[test]
+fn pack_labels_merging_components_serve_the_same_answer() {
+    let (inst, bytes) = probe();
+    let labels = shard_labels(&inst);
+    let pool = labels.singleton_pool().expect("probe has a singleton pool") as u32;
+    let shards = labels.photo_shards();
+    let target = *shards.iter().find(|&&s| s != pool).expect("probe has a non-pool shard");
+    assert!(shards.iter().any(|&s| s != pool && s != target));
+    let tampered = tamper(&bytes, kind::LABELS, |b| {
+        for (p, &s) in shards.iter().enumerate() {
+            if s != pool {
+                put_u32(b, 4 * p, target);
+            }
+        }
+    });
+    assert_ne!(tampered, bytes);
+    assert_eq!(serve(&tampered), serve(&bytes));
+}
+
+/// `S₀` is stored sorted and deduplicated; the instance relies on it.
+#[test]
+fn pack_required_ids_out_of_order_are_refused() {
+    let (inst, bytes) = probe();
+    assert!(inst.required().len() >= 2);
+    let tampered = tamper(&bytes, kind::REQUIRED, |b| {
+        let (first, second) = (get_u32(b, 0), get_u32(b, 4));
+        put_u32(b, 0, second);
+        put_u32(b, 4, first);
+    });
+    assert_malformed(&tampered, kind::REQUIRED);
+}
+
+/// A zero cost, or costs whose sum overflows u64, would let budget tests
+/// wrap. The zero case keeps META's totals consistent, so only the cost
+/// check can refuse it.
+#[test]
+fn pack_photo_costs_zero_or_overflowing_are_refused() {
+    let (inst, bytes) = probe();
+    let victim = (0..inst.num_photos())
+        .find(|&p| !inst.is_required(PhotoId(p as u32)))
+        .expect("probe has an optional photo");
+    let old = inst.photos()[victim].cost;
+    let zero = tamper(&bytes, kind::PHOTOS, |b| put_u64(b, 8 * victim, 0));
+    let zero = tamper(&zero, kind::META, |b| put_u64(b, 48, get_u64(b, 48) - old));
+    assert_malformed(&zero, kind::PHOTOS);
+    let huge = tamper(&bytes, kind::PHOTOS, |b| put_u64(b, 8 * (victim + 1), u64::MAX));
+    assert_malformed(&huge, kind::PHOTOS);
 }
 
 /// A catalog pack cut at every offset: `Catalog::load` must return a typed

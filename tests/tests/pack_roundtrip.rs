@@ -2,11 +2,10 @@
 //!
 //! The pack loader's whole value proposition is that a loaded instance is
 //! *indistinguishable* from the instance it was packed from — same arena
-//! bytes, same fused weights, same component labels — so every downstream
-//! transcript (evaluator kernels, both greedy rules, the sharded driver) is
-//! bit-identical, at every thread count. This suite proves that, plus the
-//! format's canonicality: one instance, one byte image, pinned by a golden
-//! checksum.
+//! bytes, same component labels — so every downstream transcript (evaluator
+//! kernels, both greedy rules, sharded Algorithm 1) is bit-identical, at
+//! every thread count. This suite proves that, plus the format's
+//! canonicality: one instance, one byte image, pinned by a golden checksum.
 
 use par_algo::{main_algorithm_packed, main_algorithm_sharded, sharded_lazy_greedy, GreedyRule};
 use par_core::fixtures::{random_instance, RandomInstanceConfig, SplitMix64};
@@ -77,9 +76,10 @@ fn fixture(seed: u64, photos: usize, subsets: usize, budget_fraction: f64) -> In
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// pack → load reproduces the evaluator transcript bit for bit: the
-    /// loaded layout's fused weights and arena geometry are the ones a fresh
-    /// `Evaluator::new` would derive.
+    /// pack → load reproduces the evaluator transcript bit for bit: an
+    /// evaluator over the loaded instance, the one the served path builds,
+    /// derives the same fused weights and arena geometry as over the
+    /// original.
     #[test]
     fn loaded_evaluator_transcript_is_bit_identical(
         seed in any::<u64>(), photos in 8usize..48, subsets in 3usize..14,
@@ -87,11 +87,7 @@ proptest! {
         let inst = fixture(seed, photos, subsets, 0.4);
         let loaded = unpack_instance(&pack_instance(&inst).expect("packable")).expect("valid pack must load");
         let fresh = evaluator_workout(Evaluator::new(&inst), photos, subsets);
-        let packed = evaluator_workout(
-            Evaluator::with_layout(&loaded.instance, &loaded.layout),
-            photos,
-            subsets,
-        );
+        let packed = evaluator_workout(Evaluator::new(&loaded.instance), photos, subsets);
         prop_assert_eq!(fresh, packed, "evaluator transcript diverged after pack round-trip");
     }
 
