@@ -1,22 +1,29 @@
-//! Epoch-resident incremental solver: warm-started sharded CELF streams.
+//! Epoch-resident archive sessions: warm-started sharded CELF streams.
 //!
-//! [`IncrementalSolver`] keeps an archive's solve state alive across epochs.
-//! Each epoch, an [`EpochDelta`] is applied through
-//! [`par_core::delta`] — which maintains the component labeling
-//! incrementally and marks exactly the touched components dirty — and
-//! [`IncrementalSolver::resolve`] re-runs Algorithm 1 on the
-//! component-sharded coordinator of [`crate::sharded`], prepared with the
-//! resident labels and last epoch's stream transcripts, so **clean shards
-//! replay their recorded transcripts** instead of re-running their CELF
-//! heaps (the replay rules are in the [`crate::sharded`] docs). The
-//! headline invariant, pinned by the goldens and proptests in `tests/`:
-//! every epoch's [`MainOutcome`] is **bit-identical** to
-//! [`main_algorithm_sharded`](crate::main_algorithm_sharded) on the
-//! post-delta instance — same photos, same order, same `f64` score bits.
+//! A photo archive is not solved once: photos arrive and leave, query logs
+//! drift, budgets change. [`ArchiveSession`] keeps an archive's instance,
+//! its component labeling and its solve state alive across epochs. Each
+//! epoch, an [`EpochDelta`] is applied through [`par_core::delta`] — which
+//! maintains the component labeling incrementally and marks exactly the
+//! touched components dirty — and [`ArchiveSession::resolve`] re-runs
+//! Algorithm 1 on the component-sharded coordinator of [`crate::sharded`],
+//! prepared with the resident labels and last epoch's stream transcripts,
+//! so **clean shards replay their recorded transcripts** instead of
+//! re-running their CELF heaps (the replay rules are in the
+//! [`crate::sharded`] docs). The headline invariant, pinned by the goldens
+//! and proptests in `tests/`: every epoch's [`MainOutcome`] is
+//! **bit-identical** to [`main_algorithm_sharded`](crate::main_algorithm_sharded)
+//! on the post-delta instance — same photos, same order, same `f64` score
+//! bits.
 //!
 //! This file holds the epoch bookkeeping around that coordinator: applying
-//! deltas, remapping the carried transcripts, the slack guard, and the
-//! [`EpochReport`].
+//! deltas, remapping the carried transcripts, the slack guard, the epoch
+//! counter and the [`EpochReport`].
+//!
+//! Failure isolation mirrors `phocus serve-batch`: a delta that does not
+//! apply (unknown id, budget below the required set, …) is rejected
+//! atomically — the session keeps its instance, labels and stream caches,
+//! and the next delta applies against the unchanged state.
 //!
 //! # Why a clean shard's transcript still holds
 //!
@@ -34,14 +41,14 @@
 //! The UC and CB runs of an epoch read the same prepared state — the
 //! post-`S₀` evaluator, the seed sweep, the carried transcripts — and write
 //! nothing the other reads: each clones its own evaluator (and with it its
-//! own counters) and records its own transcripts. [`IncrementalSolver::resolve`]
+//! own counters) and records its own transcripts. [`ArchiveSession::resolve`]
 //! therefore runs them through [`par_exec::join`], UC on the caller and CB
 //! on a pool worker, falling back to UC-then-CB at one installed thread.
 //! Outcomes, transcripts and every counter are the same on either path.
 //!
 //! # Cache invalidation
 //!
-//! [`IncrementalSolver::apply_delta`] remaps the caches through the delta's
+//! [`ArchiveSession::apply_delta`] remaps the caches through the delta's
 //! id compaction: transcripts survive for clean shards (dirty shards and
 //! shards whose photos were touched re-run live), per-photo pool gains
 //! survive for clean photos. One global guard remains: stream construction
@@ -56,7 +63,7 @@ use crate::GreedyRule;
 use par_core::{shard_labels, EpochDelta, Instance, PhotoId, ShardLabels};
 
 /// What a delta did to the resident instance, reported by
-/// [`IncrementalSolver::apply_delta`].
+/// [`ArchiveSession::last_delta_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaStats {
     /// Photos whose component the delta touched (post-delta ids).
@@ -69,7 +76,7 @@ pub struct DeltaStats {
     pub num_photos: usize,
 }
 
-/// How the last [`IncrementalSolver::resolve`] split its work between
+/// How an epoch's [`ArchiveSession::resolve`] split its work between
 /// replayed and live streams (streams are counted per greedy rule; the
 /// singleton pool has no stream transcript and is excluded).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,24 +94,42 @@ pub struct EpochReport {
     pub gain_evals: u64,
 }
 
-/// A resident solver that carries an [`Instance`], its component labeling,
-/// and per-shard stream transcripts across epochs.
+/// One epoch's solve: the Algorithm 1 outcome plus the replay/live split
+/// that produced it.
+#[derive(Debug, Clone)]
+pub struct EpochSolve {
+    /// 0-based epoch index (0 = the initial solve).
+    pub epoch: usize,
+    /// The Algorithm 1 outcome — bit-identical to a from-scratch sharded
+    /// solve of the current instance.
+    pub outcome: MainOutcome,
+    /// Replay/live stream counts and gain-evaluation work for this epoch.
+    pub report: EpochReport,
+}
+
+/// A resident archive session: an [`Instance`], its component labeling and
+/// per-shard stream transcripts, advanced epoch by epoch via
+/// [`EpochDelta`]s.
 ///
 /// ```
-/// use par_algo::IncrementalSolver;
+/// use par_algo::ArchiveSession;
 /// use par_core::fixtures::{figure1_instance, MB};
 /// use par_core::EpochDelta;
 ///
-/// let mut solver = IncrementalSolver::new(figure1_instance(4 * MB));
-/// let first = solver.resolve(); // identical to main_algorithm_sharded
+/// let mut session = ArchiveSession::new(figure1_instance(4 * MB));
+/// let first = session.resolve(); // identical to main_algorithm_sharded
+/// assert_eq!(first.epoch, 0);
+///
+/// // A budget cut arrives; the chainable form applies and re-solves,
+/// // replaying clean streams with the bits of a from-scratch solve at 3 MB.
 /// let delta = EpochDelta { set_budget: Some(3 * MB), ..Default::default() };
-/// solver.apply_delta(&delta).unwrap();
-/// let second = solver.resolve(); // replays clean streams, same bits as a
-/// assert!(second.best.cost <= 3 * MB); // from-scratch solve at 3 MB
-/// # let _ = first;
+/// let second = session.apply_delta(&delta)?.resolve();
+/// assert_eq!(second.epoch, 1);
+/// assert!(second.outcome.best.cost <= 3 * MB);
+/// # Ok::<(), par_core::ModelError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct IncrementalSolver {
+pub struct ArchiveSession {
     inst: Instance,
     labels: ShardLabels,
     /// Per-shard per-rule transcripts from the last resolve, remapped
@@ -116,35 +141,28 @@ pub struct IncrementalSolver {
     pool_gain: Vec<Option<f64>>,
     /// Budget slack `B − C(S₀)` when the cached transcripts were recorded.
     prev_slack: Option<u64>,
-    report: EpochReport,
+    epoch: usize,
+    last_delta: Option<DeltaStats>,
 }
 
-impl IncrementalSolver {
-    /// Takes residence over `inst`. The first [`resolve`](Self::resolve)
-    /// runs every stream live (there is nothing to replay yet).
+impl ArchiveSession {
+    /// Takes residence over `inst`, deriving its component labeling with
+    /// one [`shard_labels`] pass. No solve happens yet: the first
+    /// [`resolve`](Self::resolve) runs every stream live (there is nothing
+    /// to replay yet).
     pub fn new(inst: Instance) -> Self {
         let labels = shard_labels(&inst);
-        Self::with_labels(inst, labels)
-    }
-
-    /// [`new`](Self::new) with the component labeling already known — the
-    /// epoch-0 warm start of a catalog-backed session, where the instance
-    /// and its labels arrive together from a `phocus-pack` file and the
-    /// union-find pass is skipped. The labels must equal
-    /// `shard_labels(&inst)` (the pack writer derives them exactly so; a
-    /// debug build cross-checks).
-    pub fn with_labels(inst: Instance, labels: ShardLabels) -> Self {
-        debug_assert_eq!(labels, shard_labels(&inst));
         let num_photos = inst.num_photos();
         let num_shards = labels.num_shards();
-        IncrementalSolver {
+        ArchiveSession {
             inst,
             labels,
             // phocus-lint: allow(alloc-hot) — constructor, not the pop loop; reached only via go-live rebuild
             caches: (0..num_shards).map(|_| None).collect(),
-            pool_gain: vec![None; num_photos], // phocus-lint: allow(alloc-hot) — constructor, once per resident solver
+            pool_gain: vec![None; num_photos], // phocus-lint: allow(alloc-hot) — constructor, once per session
             prev_slack: None,
-            report: EpochReport::default(),
+            epoch: 0,
+            last_delta: None,
         }
     }
 
@@ -153,23 +171,29 @@ impl IncrementalSolver {
         &self.inst
     }
 
-    /// The resident component labeling (always equal to
-    /// `shard_labels(self.instance())`).
-    pub fn labels(&self) -> &ShardLabels {
-        &self.labels
+    /// 0-based index of the epoch the *next* [`resolve`](Self::resolve)
+    /// will report.
+    pub fn epoch(&self) -> usize {
+        self.epoch
     }
 
-    /// The replay/live split of the last [`resolve`](Self::resolve).
-    pub fn last_report(&self) -> &EpochReport {
-        &self.report
+    /// Dirty-marking statistics of the most recent successful delta, if any.
+    pub fn last_delta_stats(&self) -> Option<DeltaStats> {
+        self.last_delta
     }
 
     /// Applies one epoch's delta to the resident instance, carrying every
     /// cache that survives it: transcripts of clean shards (remapped to
-    /// post-delta photo ids), pool seed gains of clean photos. On error the
-    /// solver is left untouched — deltas are validated against the
-    /// pre-delta instance before anything is mutated.
-    pub fn apply_delta(&mut self, delta: &EpochDelta) -> par_core::Result<DeltaStats> {
+    /// post-delta photo ids), pool seed gains of clean photos. Returns
+    /// `&mut self` so a delta and its re-solve chain naturally:
+    /// `session.apply_delta(&d)?.resolve()`.
+    ///
+    /// On error the session is left untouched — same instance, same warm
+    /// caches, same [`last_delta_stats`](Self::last_delta_stats) — because
+    /// deltas are validated against the pre-delta instance before anything
+    /// is mutated, so callers can isolate a bad epoch and continue with the
+    /// next one.
+    pub fn apply_delta(&mut self, delta: &EpochDelta) -> par_core::Result<&mut Self> {
         let applied = delta.apply(&self.inst, &self.labels)?;
         let stats = DeltaStats {
             dirty_photos: applied.num_dirty_photos(),
@@ -225,17 +249,18 @@ impl IncrementalSolver {
         self.labels = applied.labels;
         self.caches = caches;
         self.pool_gain = pool_gain;
-        Ok(stats)
+        self.last_delta = Some(stats);
+        Ok(self)
     }
 
     /// Runs Algorithm 1 on the resident instance: both greedy rules at once
     /// through the sharded coordinator, clean shards replaying their
-    /// transcripts.
-    /// Bit-identical to
+    /// transcripts. The outcome is bit-identical to
     /// [`main_algorithm_sharded`](crate::main_algorithm_sharded) on
     /// [`instance`](Self::instance), including the winner selection.
-    /// Re-records every shard's transcript for the next epoch.
-    pub fn resolve(&mut self) -> MainOutcome {
+    /// Re-records every shard's transcript for the next epoch and advances
+    /// the epoch counter.
+    pub fn resolve(&mut self) -> EpochSolve {
         let inst = &self.inst;
         let labels = &self.labels;
         let num_shards = labels.num_shards();
@@ -267,7 +292,7 @@ impl IncrementalSolver {
         // replayed nor live.
         let replayed = self.caches.iter().filter(|c| c.is_some()).count();
         let live = num_shards - replayed - usize::from(labels.singleton_pool().is_some());
-        self.report = EpochReport {
+        let report = EpochReport {
             num_shards,
             replayed_streams: 2 * replayed,
             live_streams: 2 * live,
@@ -283,7 +308,13 @@ impl IncrementalSolver {
             .zip(cb.transcripts)
             .map(|(u, c)| Some([u?, c?]))
             .collect();
-        pick_winner(uc.outcome, cb.outcome)
+        let epoch = self.epoch;
+        self.epoch += 1;
+        EpochSolve {
+            epoch,
+            outcome: pick_winner(uc.outcome, cb.outcome),
+            report,
+        }
     }
 }
 
@@ -321,10 +352,18 @@ mod tests {
     use par_core::{MemberRef, PhotoAdd, QueryAdd, SubsetId};
 
     /// Resolves and asserts bit-identity with a from-scratch Algorithm 1 on
-    /// the resident instance.
-    fn assert_matches_scratch(inc: &mut IncrementalSolver) {
+    /// the resident instance, and that the solve reports the epoch the
+    /// session announced before advancing it by one. Returns the report.
+    fn assert_matches_scratch(inc: &mut ArchiveSession) -> EpochReport {
         let scratch = main_algorithm_sharded(inc.instance());
-        let out = inc.resolve();
+        let epoch = inc.epoch();
+        let EpochSolve {
+            epoch: reported,
+            outcome: out,
+            report,
+        } = inc.resolve();
+        assert_eq!(reported, epoch, "resolve reports the announced epoch");
+        assert_eq!(inc.epoch(), epoch + 1, "resolve advances the epoch");
         assert_eq!(out.uc.selected, scratch.uc.selected, "UC selection");
         assert_eq!(out.uc.score.to_bits(), scratch.uc.score.to_bits());
         assert_eq!(out.uc.cost, scratch.uc.cost);
@@ -334,6 +373,7 @@ mod tests {
         assert_eq!(out.winner, scratch.winner);
         assert_eq!(out.best.selected, scratch.best.selected);
         assert_eq!(out.best.score.to_bits(), scratch.best.score.to_bits());
+        report
     }
 
     fn fixture(seed: u64) -> Instance {
@@ -406,14 +446,13 @@ mod tests {
     #[test]
     fn first_and_repeated_resolves_match_from_scratch() {
         for seed in 0..4 {
-            let mut inc = IncrementalSolver::new(fixture(seed));
-            assert_matches_scratch(&mut inc); // all-live first epoch
-            let first = *inc.last_report();
+            let mut inc = ArchiveSession::new(fixture(seed));
+            assert_eq!(inc.epoch(), 0, "a new session announces epoch 0");
+            let first = assert_matches_scratch(&mut inc); // all-live first epoch
             assert_eq!(first.replayed_streams, 0);
             // A second resolve with no delta replays every non-pool stream
             // and pays no seed sweep beyond the S₀ replay.
-            assert_matches_scratch(&mut inc);
-            let second = *inc.last_report();
+            let second = assert_matches_scratch(&mut inc);
             assert_eq!(second.live_streams, 0);
             assert_eq!(second.went_live, 0, "identical epoch cannot diverge");
             assert!(
@@ -428,9 +467,9 @@ mod tests {
     #[test]
     fn epoch_chains_match_from_scratch_every_round() {
         for seed in [5, 11, 23] {
-            let mut inc = IncrementalSolver::new(fixture(seed));
+            let mut inc = ArchiveSession::new(fixture(seed));
             let mut rng = SplitMix64::new(seed ^ 0xC0FF_EE00);
-            inc.resolve();
+            assert_eq!(inc.resolve().epoch, 0);
             for round in 0..12 {
                 let delta = churn_delta(inc.instance(), round, &mut rng);
                 if delta.is_empty() {
@@ -446,7 +485,7 @@ mod tests {
 
     #[test]
     fn budget_only_epochs_replay_every_stream() {
-        let mut inc = IncrementalSolver::new(fixture(7));
+        let mut inc = ArchiveSession::new(fixture(7));
         inc.resolve();
         let budget = inc.instance().budget();
         let lo = inc.instance().required_cost();
@@ -460,8 +499,8 @@ mod tests {
             if inc.apply_delta(&delta).is_err() {
                 continue;
             }
-            assert_matches_scratch(&mut inc);
-            assert_eq!(inc.last_report().live_streams, 0, "budget {cut}");
+            let report = assert_matches_scratch(&mut inc);
+            assert_eq!(report.live_streams, 0, "budget {cut}");
         }
     }
 
@@ -469,7 +508,7 @@ mod tests {
     fn budget_growth_stays_exact() {
         // Growing slack can expose photos a transcript never saw; the
         // build-time demotion must keep the result bit-identical.
-        let mut inc = IncrementalSolver::new(
+        let mut inc = ArchiveSession::new(
             random_instance(
                 13,
                 &RandomInstanceConfig {
@@ -493,7 +532,7 @@ mod tests {
 
     #[test]
     fn rejected_deltas_leave_the_solver_resident() {
-        let mut inc = IncrementalSolver::new(fixture(3));
+        let mut inc = ArchiveSession::new(fixture(3));
         inc.resolve();
         let n = inc.instance().num_photos();
         let bad = EpochDelta {
@@ -501,25 +540,35 @@ mod tests {
             ..Default::default()
         };
         assert!(inc.apply_delta(&bad).is_err());
+        assert_eq!(inc.last_delta_stats(), None, "no delta has applied yet");
         // The resident state is untouched: a plain re-resolve still matches.
+        let report = assert_matches_scratch(&mut inc);
+        assert_eq!(report.live_streams, 0);
+        // A rejected delta after an applied one keeps the applied one's stats.
+        let keep = EpochDelta {
+            set_budget: Some(inc.instance().budget()),
+            ..Default::default()
+        };
+        let applied = inc.apply_delta(&keep).unwrap().last_delta_stats();
+        assert!(applied.is_some());
+        assert!(inc.apply_delta(&bad).is_err());
+        assert_eq!(inc.last_delta_stats(), applied);
         assert_matches_scratch(&mut inc);
-        assert_eq!(inc.last_report().live_streams, 0);
     }
 
     #[test]
     fn small_deltas_replay_most_streams() {
         // A single-photo removal dirties one component; everything else
         // must replay.
-        let mut inc = IncrementalSolver::new(fixture(19));
+        let mut inc = ArchiveSession::new(fixture(19));
         inc.resolve();
         let delta = EpochDelta {
             remove_photos: vec![PhotoId(0)],
             ..Default::default()
         };
-        let stats = inc.apply_delta(&delta).unwrap();
+        let stats = inc.apply_delta(&delta).unwrap().last_delta_stats().unwrap();
         assert!(stats.dirty_shards <= 1);
-        assert_matches_scratch(&mut inc);
-        let report = *inc.last_report();
+        let report = assert_matches_scratch(&mut inc);
         if report.num_shards > 2 {
             assert!(
                 report.replayed_streams > report.live_streams,

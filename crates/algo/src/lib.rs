@@ -11,7 +11,7 @@
 //! * [`sharded`] — a component-sharded CELF driver: one lazy stream per
 //!   connected component of the photo–query graph, merged by a budget-aware
 //!   coordinator, with a bit-identical transcript to [`lazy_greedy`];
-//! * [`incremental`] — an epoch-resident solver that applies
+//! * [`incremental`] — the epoch-resident [`ArchiveSession`], which applies
 //!   [`par_core::delta`] epoch deltas and replays the cached CELF stream
 //!   transcripts of clean components, bit-identical to a from-scratch
 //!   sharded solve of the post-delta instance;
@@ -67,7 +67,7 @@ pub use brute_force::{brute_force, brute_force_anytime, BruteForceConfig};
 pub use celf::{eager_greedy, lazy_greedy, lazy_greedy_from, GreedyRule};
 pub use curve::{quality_curve, CurvePoint};
 pub use error::SolveError;
-pub use incremental::{DeltaStats, EpochReport, IncrementalSolver};
+pub use incremental::{ArchiveSession, DeltaStats, EpochReport, EpochSolve};
 pub use local_search::{swap_local_search, LocalSearchConfig};
 pub use main_alg::{
     main_algorithm, main_algorithm_packed, main_algorithm_sharded, main_algorithm_with, MainOutcome,

@@ -9,7 +9,7 @@
 //! stream whose *settled* top has the maximum key, with the global heap's
 //! exact tie-break (smaller photo id). This file is the crate's one such
 //! coordinator: one-shot solves and the epoch-resident
-//! [`IncrementalSolver`](crate::IncrementalSolver) both run it.
+//! [`ArchiveSession`](crate::ArchiveSession) both run it.
 //!
 //! All streams share **one** evaluator — the prepared solver's clone of the
 //! post-`S₀` arena — so every gain is computed by the very same code on the

@@ -3,7 +3,7 @@
 //!
 //! An archive is not solved once — epochs of churn (photo arrivals and
 //! removals, query drift, budget wobble) arrive against a live solution.
-//! The epoch-resident [`IncrementalSolver`] applies each [`EpochDelta`]
+//! The epoch-resident [`ArchiveSession`] applies each [`EpochDelta`]
 //! with incremental component-label maintenance, re-solves only the shards
 //! the delta dirtied, and replays the cached CELF stream transcripts of the
 //! clean shards — bit-identical to a from-scratch sharded solve of the
@@ -34,7 +34,7 @@
 //! equivalence pass; the JSON notes quote them.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use par_algo::{main_algorithm_sharded, EpochReport, IncrementalSolver, MainOutcome};
+use par_algo::{main_algorithm_sharded, ArchiveSession, EpochReport, MainOutcome};
 use par_core::{EpochDelta, Instance, MemberRef, PhotoAdd, PhotoId, QueryAdd, SubsetId};
 use par_datasets::{
     generate_churn, generate_fleet, resolve_epoch, ChurnConfig, DatasetError, FleetConfig,
@@ -168,12 +168,15 @@ fn bench_incremental_resolve(c: &mut Criterion) {
         // answers: every epoch of the warm solver must match a from-scratch
         // sharded solve of the post-delta instance bit for bit. The pass
         // also collects the work statistics quoted in the JSON notes.
-        let mut solver = IncrementalSolver::new(base.clone());
-        solver.resolve();
+        let mut session = ArchiveSession::new(base.clone());
+        session.resolve();
         let (mut replayed, mut live, mut inc_evals, mut scratch_evals) = (0u64, 0u64, 0u64, 0u64);
         for (delta, inst) in deltas.iter().zip(&instances) {
-            solver.apply_delta(delta).expect("bench delta applies");
-            let inc = solver.resolve();
+            let epoch = session
+                .apply_delta(delta)
+                .expect("bench delta applies")
+                .resolve();
+            let (inc, report) = (epoch.outcome, epoch.report);
             let scratch = main_algorithm_sharded(inst);
             assert_eq!(
                 inc.best.selected, scratch.best.selected,
@@ -181,7 +184,6 @@ fn bench_incremental_resolve(c: &mut Criterion) {
             );
             assert_eq!(inc.best.score.to_bits(), scratch.best.score.to_bits());
             assert_eq!(inc.winner, scratch.winner);
-            let report = solver.last_report();
             replayed += report.replayed_streams as u64;
             live += report.live_streams as u64;
             inc_evals += report.gain_evals;
@@ -198,7 +200,7 @@ fn bench_incremental_resolve(c: &mut Criterion) {
         // must construct the post-delta instance, so the scratch side pays
         // the same `EpochDelta::apply` (with resident labels — the cheapest
         // from-scratch baseline) and the pair isolates the solve path.
-        let mut warm = IncrementalSolver::new(base.clone());
+        let mut warm = ArchiveSession::new(base.clone());
         warm.resolve();
         group.bench_function(BenchmarkId::new("incremental", label), |b| {
             b.iter(|| {
@@ -206,7 +208,7 @@ fn bench_incremental_resolve(c: &mut Criterion) {
                 let mut acc = 0.0f64;
                 for delta in &deltas {
                     s.apply_delta(delta).expect("bench delta applies");
-                    acc += s.resolve().best.score;
+                    acc += s.resolve().outcome.best.score;
                 }
                 black_box(acc)
             })
@@ -344,14 +346,16 @@ fn full_archive_resolve_epoch(
 
 /// Serves every epoch of `ops` on a clone of `warm` — `resolve_epoch` →
 /// `apply_delta` → `resolve` — and returns what each epoch answered.
-fn serve_chain(warm: &IncrementalSolver, ops: &[Vec<TraceOp>]) -> Vec<(MainOutcome, EpochReport)> {
+fn serve_chain(warm: &ArchiveSession, ops: &[Vec<TraceOp>]) -> Vec<(MainOutcome, EpochReport)> {
     let mut s = warm.clone();
     ops.iter()
         .map(|epoch| {
             let delta = resolve_epoch(epoch, s.instance()).expect("bench trace resolves");
-            s.apply_delta(&delta).expect("bench delta applies");
-            let out = s.resolve();
-            (out, *s.last_report())
+            let solve = s
+                .apply_delta(&delta)
+                .expect("bench delta applies")
+                .resolve();
+            (solve.outcome, solve.report)
         })
         .collect()
 }
@@ -397,7 +401,7 @@ fn bench_epoch_serving(c: &mut Criterion) {
 
     // One served epoch at 1 and 2 threads: the answers, bit for bit, and
     // the epoch reports must agree before either side is timed.
-    let mut warm = IncrementalSolver::new(base);
+    let mut warm = ArchiveSession::new(base);
     warm.resolve();
     let served = [1usize, 2].map(|t| {
         let prev = Parallelism::with_threads(t).install_global();

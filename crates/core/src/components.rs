@@ -131,10 +131,9 @@ impl Dsu {
     }
 }
 
-/// Runs the interaction-graph union pass for `inst` into `dsu`.
-///
-/// Shared by the full [`shard_labels`] pass and the delta layer (which runs
-/// it over the post-delta instance restricted to dirty photos).
+/// Runs the interaction-graph union pass for `inst` into `dsu`, for the full
+/// [`shard_labels`] pass. The delta layer's `relabel` runs its own loop,
+/// restricted to the subsets and photos a delta dirtied.
 pub(crate) fn union_interactions(inst: &Instance, dsu: &mut Dsu) {
     for q in inst.subsets() {
         match inst.sim(q.id) {

@@ -83,7 +83,7 @@ pub use delta::{apply_delta, AppliedDelta, EpochDelta, MemberRef, PhotoAdd, Quer
 pub use error::{ModelError, Result};
 pub use ids::{PhotoId, SubsetId};
 pub use instance::{Instance, InstanceBuilder, Membership};
-pub use objective::{exact_score, exact_subset_score, EvalArena, EvalStats, Evaluator};
+pub use objective::{exact_score, EvalArena, EvalStats, Evaluator};
 pub use pack::{
     fnv1a64, pack_instance, unpack_instance, unpack_instance_checked, PackError, PackedInstance,
 };

@@ -31,44 +31,4 @@ impl Photo {
             cost,
         }
     }
-
-    /// Cost expressed in (binary) megabytes, for reporting.
-    pub fn cost_mb(&self) -> f64 {
-        self.cost as f64 / (1024.0 * 1024.0)
-    }
-}
-
-/// Formats a byte count using binary units, e.g. `1.5 MiB`.
-pub fn format_bytes(bytes: u64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut value = bytes as f64;
-    let mut unit = 0;
-    while value >= 1024.0 && unit < UNITS.len() - 1 {
-        value /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{bytes} B")
-    } else {
-        format!("{value:.2} {}", UNITS[unit])
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn photo_cost_mb() {
-        let p = Photo::new(PhotoId(0), "eiffel.jpg", 2 * 1024 * 1024);
-        assert!((p.cost_mb() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn format_bytes_units() {
-        assert_eq!(format_bytes(512), "512 B");
-        assert_eq!(format_bytes(2048), "2.00 KiB");
-        assert_eq!(format_bytes(3 * 1024 * 1024), "3.00 MiB");
-        assert_eq!(format_bytes(5 * 1024 * 1024 * 1024), "5.00 GiB");
-    }
 }

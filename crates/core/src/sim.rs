@@ -543,25 +543,6 @@ impl ContextSim {
         self.len() == 0
     }
 
-    /// The sparse store, if this is the CSR variant. Hot consumers branch on
-    /// this once and then iterate the raw [`SparseSim::neighbors`] slices.
-    #[inline]
-    pub fn as_sparse(&self) -> Option<&SparseSim> {
-        match self {
-            ContextSim::Sparse(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The dense store, if this is the packed-triangle variant.
-    #[inline]
-    pub fn as_dense(&self) -> Option<&DenseSim> {
-        match self {
-            ContextSim::Dense(d) => Some(d),
-            _ => None,
-        }
-    }
-
     /// Similarity between local member indices `i` and `j`.
     #[inline]
     pub fn sim(&self, i: usize, j: usize) -> f64 {

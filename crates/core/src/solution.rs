@@ -113,18 +113,6 @@ impl Solution {
         self.photos.binary_search(&p).is_ok()
     }
 
-    /// Score as a fraction of the maximum attainable `Σ_q W(q)` — the
-    /// "percent of total quality" measure used in the paper's Section 5.3
-    /// budget-scenario discussion.
-    pub fn quality_fraction(&self, inst: &Instance) -> f64 {
-        let max = inst.max_score();
-        if max == 0.0 {
-            0.0
-        } else {
-            self.score / max
-        }
-    }
-
     /// Computes per-subset coverage statistics.
     pub fn coverage(&self, inst: &Instance) -> CoverageStats {
         let mut selected = vec![false; inst.num_photos()];
@@ -205,14 +193,6 @@ mod tests {
         // p6 is in q2, q3, q4.
         assert_eq!(cov.covered, 3);
         assert_eq!(cov.fully_retained, 1); // q3 = {p6}
-    }
-
-    #[test]
-    fn quality_fraction_full_retention_is_one() {
-        let inst = figure1_instance(u64::MAX);
-        let all: Vec<PhotoId> = (0..7).map(PhotoId).collect();
-        let sol = Solution::new(&inst, all).unwrap();
-        assert!((sol.quality_fraction(&inst) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -45,22 +45,6 @@ impl Subset {
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
-
-    /// Local index of `photo` within this subset, if it is a member.
-    ///
-    /// This is a linear scan; the [`Instance`](crate::Instance) maintains a
-    /// reverse index ([`Membership`](crate::Membership)) for hot paths.
-    pub fn local_index(&self, photo: PhotoId) -> Option<usize> {
-        self.members.iter().position(|&m| m == photo)
-    }
-
-    /// Relevance score of `photo` in this subset, or 0 if not a member
-    /// (matching the paper's convention that `R(q,p) = 0` for `p ∉ q`).
-    pub fn relevance_of(&self, photo: PhotoId) -> f64 {
-        self.local_index(photo)
-            .map(|i| self.relevance[i])
-            .unwrap_or(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -75,20 +59,6 @@ mod tests {
             members: vec![PhotoId(0), PhotoId(1), PhotoId(2)],
             relevance: vec![0.5, 0.3, 0.2].into(),
         }
-    }
-
-    #[test]
-    fn local_index_finds_members() {
-        let q = sample();
-        assert_eq!(q.local_index(PhotoId(1)), Some(1));
-        assert_eq!(q.local_index(PhotoId(9)), None);
-    }
-
-    #[test]
-    fn relevance_of_nonmember_is_zero() {
-        let q = sample();
-        assert_eq!(q.relevance_of(PhotoId(2)), 0.2);
-        assert_eq!(q.relevance_of(PhotoId(7)), 0.0);
     }
 
     #[test]

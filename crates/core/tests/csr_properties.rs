@@ -193,8 +193,8 @@ proptest! {
         (seed, n, count) in (any::<u64>(), 1usize..24, 0usize..80)
     ) {
         let pairs = random_pairs(seed, n, count);
-        let cs = ContextSim::Sparse(SparseSim::from_pairs(SubsetId(0), n, pairs).unwrap());
-        let sp = cs.as_sparse().unwrap();
+        let sp = SparseSim::from_pairs(SubsetId(0), n, pairs).unwrap();
+        let cs = ContextSim::Sparse(sp.clone());
         for i in 0..n {
             let mut visited = Vec::new();
             cs.for_neighbors(i, |j, s| visited.push((j as u32, s)));

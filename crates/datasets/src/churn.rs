@@ -17,7 +17,7 @@
 //!   that stays stable across epochs;
 //! * a **resolver** ([`resolve_epoch`]) that turns one epoch's name-based
 //!   operations into a concrete [`EpochDelta`] against the *live* instance
-//!   (pre-delta ids), which is exactly what `IncrementalSolver::apply_delta`
+//!   (pre-delta ids), which is exactly what `ArchiveSession::apply_delta`
 //!   consumes. Replay loop: resolve epoch `k` against the current instance,
 //!   apply, repeat.
 //!

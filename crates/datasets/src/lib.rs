@@ -50,7 +50,7 @@ pub use error::DatasetError;
 pub use fleet::{generate_fleet, FleetConfig};
 pub use io::{from_text, to_text, ParseError};
 pub use openimages::{generate_openimages, OpenImagesConfig, PublicScale};
-pub use recompression::{recompression_levels, RECOMPRESSION_LEVELS};
+pub use recompression::RECOMPRESSION_LEVELS;
 pub use table2::{table2_rows, Table2Row};
 pub use universe::{SubsetDef, Universe};
 pub use zipf::Zipf;

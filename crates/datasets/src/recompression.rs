@@ -10,10 +10,9 @@
 //!
 //! This module is the dataset-side knob for that curve: a fixed anchor
 //! ladder of `(size_fraction, quality)` points drawn from the paper's
-//! measured operating range, and [`recompression_levels`] to take the first
-//! `k` rungs. `par-datasets` sits below `phocus` in the crate DAG, so the
-//! levels are exposed as plain tuples; `phocus::ActionLadder` turns them
-//! into validated storage actions.
+//! measured operating range. `par-datasets` sits below `phocus` in the crate
+//! DAG, so the levels are exposed as plain tuples; `phocus::ActionLadder`
+//! turns them into validated storage actions.
 
 /// The measured recompression ladder, strongest-first, as
 /// `(size_fraction, quality)` pairs.
@@ -34,13 +33,6 @@ pub const RECOMPRESSION_LEVELS: [(f64, f64); 4] = [
     (0.08, 0.55),
 ];
 
-/// The first `k` rungs of [`RECOMPRESSION_LEVELS`] (clamped to its length).
-///
-/// `k = 0` yields the empty ladder — the degenerate delete-only model.
-pub fn recompression_levels(k: usize) -> Vec<(f64, f64)> {
-    RECOMPRESSION_LEVELS[..k.min(RECOMPRESSION_LEVELS.len())].to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,16 +49,5 @@ mod tests {
             // Recompression always pays: quality per byte improves.
             assert!(quality > frac, "every rung is worth its bytes");
         }
-    }
-
-    #[test]
-    fn knob_takes_a_prefix() {
-        assert!(recompression_levels(0).is_empty());
-        assert_eq!(recompression_levels(2), RECOMPRESSION_LEVELS[..2].to_vec());
-        assert_eq!(
-            recompression_levels(99).len(),
-            RECOMPRESSION_LEVELS.len(),
-            "clamped to the measured ladder"
-        );
     }
 }

@@ -61,15 +61,6 @@ impl Universe {
         self.costs.iter().fold(0u64, |acc, &c| acc.saturating_add(c))
     }
 
-    /// Mean photo cost in bytes.
-    pub fn mean_cost(&self) -> f64 {
-        if self.costs.is_empty() {
-            0.0
-        } else {
-            self.total_cost() as f64 / self.costs.len() as f64
-        }
-    }
-
     /// Mean subset size.
     pub fn mean_subset_size(&self) -> f64 {
         if self.subsets.is_empty() {
@@ -185,7 +176,6 @@ mod tests {
         assert!(tiny().validate().is_ok());
         assert_eq!(tiny().num_photos(), 2);
         assert_eq!(tiny().total_cost(), 30);
-        assert!((tiny().mean_cost() - 15.0).abs() < 1e-12);
         assert!((tiny().mean_subset_size() - 2.0).abs() < 1e-12);
     }
 

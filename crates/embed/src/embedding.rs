@@ -1,8 +1,8 @@
 //! Embedding vectors and the two embedders.
 //!
 //! [`FeatureEmbedder`] is the honest pipeline: extracted features (color +
-//! gradient descriptors, optionally BoW histograms) are randomly projected to
-//! a compact L2-normalized vector — the classical random-projection sketch of
+//! gradient descriptors) are randomly projected to a compact L2-normalized
+//! vector — the classical random-projection sketch of
 //! a learned embedding.
 //!
 //! [`SpecEmbedder`] is the fast path used for 100K-photo scalability runs:
@@ -14,8 +14,7 @@
 //! substitution is documented in DESIGN.md and validated by tests comparing
 //! the two embedders' similarity orderings.
 
-use crate::features::full_features;
-use crate::image::{Image, ImageSpec};
+use crate::image::ImageSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -100,12 +99,6 @@ impl FeatureEmbedder {
             *o = row.iter().zip(features).map(|(p, f)| p * f).sum();
         }
         Embedding::new(out)
-    }
-
-    /// Renders the spec, extracts features, and embeds — the full pipeline.
-    pub fn embed_spec(&self, spec: &ImageSpec, width: usize, height: usize) -> Embedding {
-        let img = Image::render(spec, width, height);
-        self.embed(&full_features(&img))
     }
 
     /// Input feature dimensionality.
@@ -230,6 +223,8 @@ impl SpecEmbedder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::full_features;
+    use crate::image::Image;
 
     #[test]
     fn embeddings_are_unit_norm() {
@@ -279,15 +274,15 @@ mod tests {
             5,
         );
         let se = SpecEmbedder::new(32, 5);
+        // The full pipeline: render, extract features, embed.
+        let rendered = |spec: &ImageSpec| fe.embed(&full_features(&Image::render(spec, 32, 32)));
         let s_a1 = ImageSpec::new(4, [0.5, 0.5, 0.5, 0.5], 1);
         let s_a2 = ImageSpec::new(4, [0.52, 0.5, 0.5, 0.5], 2);
         let s_b = ImageSpec::new(11, [0.5, 0.5, 0.5, 0.5], 3);
         for (same, cross) in [
             (
-                fe.embed_spec(&s_a1, 32, 32)
-                    .cosine(&fe.embed_spec(&s_a2, 32, 32)),
-                fe.embed_spec(&s_a1, 32, 32)
-                    .cosine(&fe.embed_spec(&s_b, 32, 32)),
+                rendered(&s_a1).cosine(&rendered(&s_a2)),
+                rendered(&s_a1).cosine(&rendered(&s_b)),
             ),
             (
                 se.embed(&s_a1).cosine(&se.embed(&s_a2)),

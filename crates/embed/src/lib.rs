@@ -11,8 +11,6 @@
 //!   simulated JPEG byte-cost model (heavy-tailed sizes);
 //! * [`features`] — genuine feature extraction over those pixels: HSV color
 //!   histograms and gradient-orientation descriptors (a SIFT-lite);
-//! * [`codebook`] — k-means visual-word codebooks (Lloyd's algorithm with
-//!   k-means++ seeding) and bag-of-visual-words histograms;
 //! * [`embedding`] — L2-normalized embedding vectors produced either from
 //!   extracted features (the honest pipeline) or in closed form from the
 //!   image spec (the fast path for 100K-photo scalability runs — documented
@@ -30,7 +28,6 @@
 
 #![warn(missing_docs)]
 
-pub mod codebook;
 pub mod contextual;
 pub mod embedding;
 pub mod exif;
@@ -38,7 +35,6 @@ pub mod features;
 pub mod image;
 pub mod quality;
 
-pub use codebook::{Codebook, KMeansConfig};
 pub use contextual::{
     ContextKernel, ContextVector, ContextualSimilarity, NonContextualSimilarity, PreparedContext,
 };

@@ -148,13 +148,6 @@ impl LshIndex {
         }
     }
 
-    /// Total number of candidate pairs (after deduplication).
-    pub fn num_candidate_pairs(&self) -> usize {
-        let mut n = 0;
-        self.for_candidate_pairs(|_, _| n += 1);
-        n
-    }
-
     /// The largest bucket size across all bands — a skew diagnostic: huge
     /// buckets degrade LSH toward quadratic behavior.
     pub fn max_bucket(&self) -> usize {
@@ -166,6 +159,13 @@ impl LshIndex {
 mod tests {
     use super::*;
     use crate::simhash::SimHasher;
+
+    /// Candidate pairs after deduplication, counted through the enumerator.
+    fn count_pairs(idx: &LshIndex) -> usize {
+        let mut n = 0;
+        idx.for_candidate_pairs(|_, _| n += 1);
+        n
+    }
 
     fn cluster_vectors() -> Vec<Vec<f32>> {
         // Two well-separated clusters of 4.
@@ -208,7 +208,7 @@ mod tests {
         let sigs: Vec<_> = vecs.iter().map(|v| h.sign(v)).collect();
         // Identical vectors collide in every band; pair must appear once.
         let idx = LshIndex::build(&sigs, 4, 16);
-        assert_eq!(idx.num_candidate_pairs(), 1);
+        assert_eq!(count_pairs(&idx), 1);
     }
 
     #[test]
@@ -216,7 +216,7 @@ mod tests {
         let sigs: Vec<Signature> = Vec::new();
         let idx = LshIndex::build(&sigs, 4, 8);
         assert!(idx.is_empty());
-        assert_eq!(idx.num_candidate_pairs(), 0);
+        assert_eq!(count_pairs(&idx), 0);
         assert_eq!(idx.max_bucket(), 0);
     }
 

@@ -136,7 +136,7 @@ USAGE:
                [--ladder SPEC|none|paper] [--no-sharding] [--frontier N]
                [--out FILE]
   phocus export --dataset <NAME> --out <FILE> [--seed N]
-  phocus plan --dataset <NAME> --target <FRACTION> [--seed N]
+  phocus plan --dataset <NAME> --target <FRACTION> [--tau T] [--ns] [--seed N]
   phocus serve-batch --list <FILE|-> [--budget-frac F | --budget-mb MB]
                [--tau T] [--ns] [--threads N] [--fresh-arenas] [--out-dir DIR]
   phocus serve-batch --catalog <DIR> [--threads N] [--fresh-arenas]
@@ -555,14 +555,11 @@ fn cmd_plan(rest: &[String]) -> Result<(), CliError> {
     let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
     let target: f64 = parse(rest, "--target", 0.9)?;
     let seed: u64 = parse(rest, "--seed", 42)?;
+    // Plan for the representation `solve` serves under the same flags.
+    let representation = repr_from_flags(rest)?;
     let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
     let tolerance = (universe.total_cost() / 200).max(1);
-    let plan = phocus::minimal_budget(
-        &universe,
-        target,
-        &RepresentationConfig::default(),
-        tolerance,
-    )?;
+    let plan = phocus::minimal_budget(&universe, target, &representation, tolerance)?;
     println!(
         "dataset {} — archive {:.1} MB",
         universe.name,

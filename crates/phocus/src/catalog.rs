@@ -208,15 +208,6 @@ impl Catalog {
             e => PhocusError::Pack(e),
         })
     }
-
-    /// [`load`](Self::load) by tenant name.
-    pub fn load_by_name(&self, name: &str) -> Result<PackedInstance> {
-        let entry = self.get(name).ok_or_else(|| PhocusError::Catalog {
-            entry: name.to_string(),
-            message: "no such tenant in the catalog".into(),
-        })?;
-        self.load(entry)
-    }
 }
 
 /// Builds a catalog directory: add packs (and optional solve artifacts)
@@ -377,7 +368,7 @@ mod tests {
         let cat = b.finish().unwrap();
         // Overwrite the pack behind the index's back.
         std::fs::write(dir.join(&cat.entries()[0].pack), b"garbage").unwrap();
-        let err = cat.load_by_name("t").unwrap_err();
+        let err = cat.load(cat.get("t").unwrap()).unwrap_err();
         assert!(matches!(err, PhocusError::Catalog { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -400,14 +391,14 @@ mod tests {
             dir.join(&cat.entries()[0].pack),
         )
         .unwrap();
-        let err = cat.load_by_name("a").unwrap_err();
+        let err = cat.load(cat.get("a").unwrap()).unwrap_err();
         assert!(matches!(err, PhocusError::Catalog { .. }), "{err}");
         assert!(
             err.to_string()
                 .contains("does not match its indexed checksum"),
             "{err}"
         );
-        assert!(cat.load_by_name("b").is_ok());
+        assert!(cat.load(cat.get("b").unwrap()).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -423,7 +414,7 @@ mod tests {
         let mut b = CatalogBuilder::create(&dir).unwrap();
         b.add_pack("t", &bytes, 7, inst.budget()).unwrap();
         let cat = b.finish().unwrap();
-        let err = cat.load_by_name("t").unwrap_err();
+        let err = cat.load(cat.get("t").unwrap()).unwrap_err();
         assert!(
             matches!(err, PhocusError::Pack(PackError::Checksum { .. })),
             "{err:?}"
@@ -460,7 +451,7 @@ mod tests {
         let opened = Catalog::open(&dir).unwrap();
         assert_eq!(opened.entries(), built.entries());
         for name in names {
-            assert!(opened.load_by_name(name).is_ok(), "{name}");
+            assert!(opened.load(opened.get(name).unwrap()).is_ok(), "{name}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

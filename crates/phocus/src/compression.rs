@@ -32,7 +32,7 @@
 
 use crate::error::{PhocusError, Result};
 use crate::representation::{represent, RepresentationConfig};
-use par_algo::{main_algorithm_with, quality_curve};
+use par_algo::{main_algorithm_sharded, main_algorithm_with, quality_curve};
 use par_core::{Instance, PhotoId};
 use par_datasets::{SubsetDef, Universe};
 
@@ -555,22 +555,9 @@ pub fn compare_remove_vs_compress(
     ladder: &ActionLadder,
     cfg: &RepresentationConfig,
 ) -> Result<CompressionComparison> {
-    compare_remove_vs_compress_with(universe, budget, ladder, cfg, true)
-}
-
-/// [`compare_remove_vs_compress`] with an explicit sharding choice (the
-/// CLI's `--no-sharding` parity knob; transcripts are bit-identical either
-/// way).
-pub fn compare_remove_vs_compress_with(
-    universe: &Universe,
-    budget: u64,
-    ladder: &ActionLadder,
-    cfg: &RepresentationConfig,
-    sharding: bool,
-) -> Result<CompressionComparison> {
     let base = represent(universe, budget, cfg)?;
-    let remove_only = main_algorithm_with(&base, sharding).best.score;
-    let ma = solve_multi_action(universe, budget, ladder, cfg, sharding)?;
+    let remove_only = main_algorithm_sharded(&base).best.score;
+    let ma = solve_multi_action(universe, budget, ladder, cfg, true)?;
     Ok(CompressionComparison {
         remove_only,
         with_compression: ma.score,

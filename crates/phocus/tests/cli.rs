@@ -871,14 +871,52 @@ fn epochs_trace_pair_index_beyond_u32_is_invalid_data() {
     std::fs::remove_file(&path).ok();
 }
 
+/// `plan` plans for the representation `solve` serves under the same flags
+/// (LSH at τ 0.6 by default), so solving at the printed budget reaches the
+/// target quality.
+#[test]
+fn planned_budget_reaches_its_target_under_solve() {
+    let out = phocus(&["plan", "--dataset", "tiny", "--target", "0.9"]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let plan = String::from_utf8_lossy(&out.stdout);
+    let mb = plan
+        .split("need ≈ ")
+        .nth(1)
+        .and_then(|t| t.split(" MB").next())
+        .expect("plan prints a budget");
+    let out = phocus(&["solve", "--dataset", "tiny", "--budget-mb", mb]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = String::from_utf8_lossy(&out.stdout);
+    let quality: f64 = report
+        .lines()
+        .find(|l| l.starts_with("quality:"))
+        .and_then(|l| l.rsplit('(').next())
+        .and_then(|t| t.strip_suffix("%)"))
+        .and_then(|t| t.parse().ok())
+        .expect("solve prints its quality");
+    assert!(
+        quality >= 90.0,
+        "the planned {mb} MB reaches only {quality}% under solve"
+    );
+}
+
 #[test]
 fn tau_outside_zero_one_is_a_usage_error() {
     let list = write_batch_fixture("bad_tau", &[]);
     let dir = list.parent().unwrap();
     let catalog = dir.join("catalog");
     let (list, catalog) = (list.to_str().unwrap(), catalog.to_str().unwrap());
-    let runs: [&[&str]; 5] = [
+    let runs: [&[&str]; 6] = [
         &["solve", "--dataset", "tiny", "--tau", "nan"],
+        &["plan", "--dataset", "tiny", "--tau", "2"],
         &["solve", "--dataset", "tiny", "--ns", "--tau", "-1"],
         &["serve-batch", "--list", list, "--tau", "-0.5"],
         &[

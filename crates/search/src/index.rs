@@ -47,11 +47,6 @@ impl InvertedIndex {
         self.doc_lens.len()
     }
 
-    /// Number of distinct terms.
-    pub fn num_terms(&self) -> usize {
-        self.postings.len()
-    }
-
     /// The postings list for a term: `(doc, tf)` sorted by doc.
     pub fn postings(&self, term: &str) -> Option<&[(u32, u32)]> {
         self.postings.get(term).map(|v| v.as_slice())
@@ -91,7 +86,6 @@ mod tests {
         assert_eq!(idx.doc_len(1), 1);
         assert!((idx.avg_doc_len() - 2.0).abs() < 1e-12);
         assert_eq!(idx.num_docs(), 2);
-        assert_eq!(idx.num_terms(), 4);
     }
 
     #[test]

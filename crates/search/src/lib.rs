@@ -51,14 +51,6 @@ impl SearchEngine {
         }
     }
 
-    /// Builds with custom BM25 parameters.
-    pub fn with_params(corpus: &[impl AsRef<str>], params: Bm25Params) -> Self {
-        SearchEngine {
-            index: InvertedIndex::build(corpus),
-            params,
-        }
-    }
-
     /// Number of indexed documents.
     pub fn num_docs(&self) -> usize {
         self.index.num_docs()

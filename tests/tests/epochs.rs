@@ -1,5 +1,5 @@
 //! Cross-crate guarantees of the incremental archiver (`par-core` deltas,
-//! `par-algo` incremental solver, `par-datasets` churn traces).
+//! `par-algo` archive sessions, `par-datasets` churn traces).
 //!
 //! Three layers of proof:
 //!
@@ -7,7 +7,7 @@
 //!    epoch delta, the incrementally maintained [`ShardLabels`] equal a
 //!    from-scratch [`shard_labels`] of the post-delta instance — same
 //!    partition, same shard numbering, same singleton pool.
-//! 2. **Replay property**: a warm [`IncrementalSolver`] carried through a
+//! 2. **Replay property**: a warm [`ArchiveSession`] carried through a
 //!    churn trace produces, at every epoch, the *bit-identical* outcome of
 //!    [`main_algorithm_sharded`] on the post-delta instance — selections,
 //!    score bits, and winner rule — under serial, 2- and 8-thread pools.
@@ -17,7 +17,7 @@
 //! 4. **Counters**: every [`EpochReport`] and both rules' work counters are
 //!    the same at every pool size, with the two rules running at once.
 
-use par_algo::{main_algorithm_sharded, EpochReport, GreedyRule, IncrementalSolver, MainOutcome};
+use par_algo::{main_algorithm_sharded, ArchiveSession, EpochReport, GreedyRule, MainOutcome};
 use par_core::fixtures::{random_instance, RandomInstanceConfig};
 use par_core::{shard_labels, Instance, PhotoId};
 use par_datasets::{generate_churn, resolve_epoch, ChurnConfig};
@@ -141,7 +141,7 @@ proptest! {
         }
     }
 
-    /// The warm solver's replayed epoch solves are byte-equal to fresh
+    /// The warm session's replayed epoch solves are byte-equal to fresh
     /// sharded solves of every post-delta instance, and stay byte-equal
     /// under worker pools of 2 and 8 threads (the pool must be invisible
     /// in results, clean-shard replay included).
@@ -156,14 +156,13 @@ proptest! {
                 0 => Parallelism::serial().install_global(),
                 t => Parallelism::with_threads(t).install_global(),
             };
-            let mut solver = IncrementalSolver::new(base.clone());
-            solver.resolve();
+            let mut session = ArchiveSession::new(base.clone());
+            session.resolve();
             let mut transcript = Vec::new();
             for ops in &trace.epochs {
-                let delta = resolve_epoch(ops, solver.instance()).unwrap();
-                solver.apply_delta(&delta).unwrap();
-                let inc = solver.resolve();
-                let fresh = main_algorithm_sharded(solver.instance());
+                let delta = resolve_epoch(ops, session.instance()).unwrap();
+                let inc = session.apply_delta(&delta).unwrap().resolve().outcome;
+                let fresh = main_algorithm_sharded(session.instance());
                 prop_assert_eq!(&inc.best.selected, &fresh.best.selected);
                 prop_assert_eq!(inc.best.score.to_bits(), fresh.best.score.to_bits());
                 prop_assert_eq!(inc.winner, fresh.winner);
@@ -193,7 +192,7 @@ fn golden_fixtures() -> [(u64, usize, usize, u64); 3] {
     ]
 }
 
-/// Carries a warm solver through a 5-epoch churn trace, folding every
+/// Carries a warm session through a 5-epoch churn trace, folding every
 /// epoch's outcome — selections, score/cost bits, winner, replay/live
 /// stream split — into one hash. The replay instrumentation is part of the
 /// transcript on purpose: a regression that silently demotes replayed
@@ -202,17 +201,16 @@ fn epoch_transcript_hash(seed: u64, photos: usize, subsets: usize, budget_pct: u
     let mut h = Fnv::new();
     let base = base_instance(seed, photos, subsets, budget_pct);
     let trace = generate_churn(&base, &churn_config(5, seed ^ 0x00D5)).unwrap();
-    let mut solver = IncrementalSolver::new(base);
-    let first = solver.resolve();
+    let mut session = ArchiveSession::new(base);
+    let first = session.resolve().outcome;
     for &p in &first.best.selected {
         h.u32(p.0);
     }
     h.f64(first.best.score);
     for ops in &trace.epochs {
-        let delta = resolve_epoch(ops, solver.instance()).unwrap();
-        solver.apply_delta(&delta).unwrap();
-        let outcome = solver.resolve();
-        let report = *solver.last_report();
+        let delta = resolve_epoch(ops, session.instance()).unwrap();
+        let epoch = session.apply_delta(&delta).unwrap().resolve();
+        let (outcome, report) = (epoch.outcome, epoch.report);
         for &p in &outcome.best.selected {
             h.u32(p.0);
         }
@@ -282,23 +280,22 @@ fn counters_are_identical_across_thread_counts() {
         for (seed, photos, subsets, budget_pct) in golden_fixtures() {
             let base = base_instance(seed, photos, subsets, budget_pct);
             let trace = generate_churn(&base, &churn_config(5, seed ^ 0x00D5)).unwrap();
-            let mut solver = IncrementalSolver::new(base);
-            let first = solver.resolve();
-            let scratch = main_algorithm_sharded(solver.instance());
+            let mut session = ArchiveSession::new(base);
+            let first = session.resolve();
+            let scratch = main_algorithm_sharded(session.instance());
             // Epoch 0 has nothing to replay: every stream runs live, doing
             // exactly the one-shot sharded solve's work.
             assert_eq!(
-                work(&first),
+                work(&first.outcome),
                 work(&scratch),
                 "epoch 0 work (threads={threads})"
             );
-            counters.push((*solver.last_report(), work(&first), work(&scratch)));
+            counters.push((first.report, work(&first.outcome), work(&scratch)));
             for ops in &trace.epochs {
-                let delta = resolve_epoch(ops, solver.instance()).unwrap();
-                solver.apply_delta(&delta).unwrap();
-                let warm = solver.resolve();
-                let scratch = main_algorithm_sharded(solver.instance());
-                counters.push((*solver.last_report(), work(&warm), work(&scratch)));
+                let delta = resolve_epoch(ops, session.instance()).unwrap();
+                let warm = session.apply_delta(&delta).unwrap().resolve();
+                let scratch = main_algorithm_sharded(session.instance());
+                counters.push((warm.report, work(&warm.outcome), work(&scratch)));
             }
         }
         runs.push(counters);

@@ -9,7 +9,10 @@
 
 use par_algo::{main_algorithm_packed, main_algorithm_sharded, sharded_lazy_greedy, GreedyRule};
 use par_core::fixtures::{random_instance, RandomInstanceConfig, SplitMix64};
-use par_core::{fnv1a64, pack_instance, unpack_instance, Evaluator, Instance, PhotoId, SubsetId};
+use par_core::pack::kind;
+use par_core::{
+    fnv1a64, pack_instance, shard_labels, unpack_instance, Evaluator, Instance, PhotoId, SubsetId,
+};
 use par_datasets::{generate_churn, resolve_epoch, ChurnConfig};
 use par_exec::Parallelism;
 use phocus::ArchiveSession;
@@ -174,15 +177,49 @@ fn pack_golden_checksum_is_pinned() {
     );
 }
 
-/// A session opened from a loaded pack serves a churn chain exactly like one
-/// opened on the instance itself: the pack's labels reach the coordinator
-/// through `IncrementalSolver::with_labels`, and every epoch, epoch 0
-/// included, gives the same selection, score bits, winner and report.
+/// `bytes` with every non-pool photo's label moved onto one shard and the
+/// LABELS section's checksum repaired: a labeling that merges components,
+/// which the reader accepts because every interaction stays in one shard.
+fn merge_pack_labels(inst: &Instance, bytes: &[u8]) -> Vec<u8> {
+    let labels = shard_labels(inst);
+    let pool = labels.singleton_pool().map(|s| s as u32);
+    let shards = labels.photo_shards();
+    let target = *shards
+        .iter()
+        .find(|&&s| Some(s) != pool)
+        .expect("a non-pool shard");
+    assert!(
+        shards.iter().any(|&s| Some(s) != pool && s != target),
+        "two non-pool shards"
+    );
+    // Section table entry of LABELS: header 16 bytes, 32 bytes per entry,
+    // payload offset at +8, length at +16, checksum at +24.
+    let entry = 16 + 32 * (kind::LABELS as usize - 1);
+    let mut out = bytes.to_vec();
+    let field = |at: usize| {
+        u64::from_le_bytes(bytes[entry + at..entry + at + 8].try_into().unwrap()) as usize
+    };
+    let (offset, len) = (field(8), field(16));
+    for (p, &s) in shards.iter().enumerate() {
+        if Some(s) != pool {
+            out[offset + 4 * p..offset + 4 * p + 4].copy_from_slice(&target.to_le_bytes());
+        }
+    }
+    let sum = fnv1a64(&out[offset..offset + len]);
+    out[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
+    assert_ne!(out, bytes);
+    out
+}
+
+/// A session opened on a loaded pack's instance serves a churn chain exactly
+/// like one opened on the instance itself: every epoch, epoch 0 included,
+/// gives the same selection, score bits, winner and report. The session
+/// derives its own labels, so a pack whose labels merge components serves
+/// the same chain.
 #[test]
 fn packed_session_matches_instance_session_every_epoch() {
     let inst = fixture(0x5E55_10AD, 90, 24, 0.4).sparsify(0.6);
-    let loaded =
-        unpack_instance(&pack_instance(&inst).expect("packable")).expect("valid pack must load");
+    let bytes = pack_instance(&inst).expect("packable");
     let trace = generate_churn(
         &inst,
         &ChurnConfig {
@@ -196,31 +233,34 @@ fn packed_session_matches_instance_session_every_epoch() {
         },
     )
     .expect("churn trace generates");
-    let mut packed = ArchiveSession::from_packed(loaded);
-    let mut plain = ArchiveSession::new(inst);
-    let mut replayed = 0;
-    for epoch in 0..=trace.epochs.len() {
-        if let Some(ops) = epoch.checked_sub(1).map(|e| &trace.epochs[e]) {
-            for session in [&mut plain, &mut packed] {
-                let delta = resolve_epoch(ops, session.instance()).expect("epoch resolves");
-                session.apply_delta(&delta).expect("delta applies");
+    for pack in [merge_pack_labels(&inst, &bytes), bytes] {
+        let loaded = unpack_instance(&pack).expect("valid pack must load");
+        let mut packed = ArchiveSession::new(loaded.instance);
+        let mut plain = ArchiveSession::new(inst.clone());
+        let mut replayed = 0;
+        for epoch in 0..=trace.epochs.len() {
+            if let Some(ops) = epoch.checked_sub(1).map(|e| &trace.epochs[e]) {
+                for session in [&mut plain, &mut packed] {
+                    let delta = resolve_epoch(ops, session.instance()).expect("epoch resolves");
+                    session.apply_delta(&delta).expect("delta applies");
+                }
             }
+            let a = plain.resolve();
+            let b = packed.resolve();
+            assert_eq!(b.epoch, a.epoch);
+            assert_eq!(
+                b.outcome.best.selected, a.outcome.best.selected,
+                "epoch {epoch}"
+            );
+            assert_eq!(
+                b.outcome.best.score.to_bits(),
+                a.outcome.best.score.to_bits(),
+                "epoch {epoch}"
+            );
+            assert_eq!(b.outcome.winner, a.outcome.winner, "epoch {epoch}");
+            assert_eq!(b.report, a.report, "epoch {epoch}");
+            replayed += a.report.replayed_streams;
         }
-        let a = plain.resolve();
-        let b = packed.resolve();
-        assert_eq!(b.epoch, a.epoch);
-        assert_eq!(
-            b.outcome.best.selected, a.outcome.best.selected,
-            "epoch {epoch}"
-        );
-        assert_eq!(
-            b.outcome.best.score.to_bits(),
-            a.outcome.best.score.to_bits(),
-            "epoch {epoch}"
-        );
-        assert_eq!(b.outcome.winner, a.outcome.winner, "epoch {epoch}");
-        assert_eq!(b.report, a.report, "epoch {epoch}");
-        replayed += a.report.replayed_streams;
+        assert!(replayed > 0, "the chain replays transcripts");
     }
-    assert!(replayed > 0, "the chain replays transcripts");
 }
