@@ -51,7 +51,6 @@
 pub mod baselines;
 pub mod brute_force;
 pub mod celf;
-pub mod curve;
 pub mod error;
 pub mod incremental;
 pub mod local_search;
@@ -65,13 +64,10 @@ pub mod types;
 pub use baselines::{greedy_ncs, greedy_nr, greedy_select, rand_a, rand_d};
 pub use brute_force::{brute_force, brute_force_anytime, BruteForceConfig};
 pub use celf::{eager_greedy, lazy_greedy, lazy_greedy_from, GreedyRule};
-pub use curve::{quality_curve, CurvePoint};
 pub use error::SolveError;
 pub use incremental::{ArchiveSession, DeltaStats, EpochReport, EpochSolve};
 pub use local_search::{swap_local_search, LocalSearchConfig};
-pub use main_alg::{
-    main_algorithm, main_algorithm_packed, main_algorithm_sharded, main_algorithm_with, MainOutcome,
-};
+pub use main_alg::{main_algorithm, main_algorithm_packed, main_algorithm_sharded, MainOutcome};
 pub use online_bound::{online_bound, OnlineBound};
 pub use sharded::{sharded_lazy_greedy, sharded_lazy_greedy_from, ShardedSolver, SolveScratch};
 pub use streaming::{density_sieve, sieve_streaming};

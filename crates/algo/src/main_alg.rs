@@ -71,9 +71,14 @@ pub fn main_algorithm_sharded(inst: &Instance) -> MainOutcome {
 /// returning the capacity there afterwards): the fleet engine's per-tenant
 /// entry point. Catalog-backed serving passes the shard labels persisted in
 /// a `phocus-pack` file, so the solver skips the union-find pass entirely;
-/// a text tenant passes `shard_labels(inst)`. Bit-identical to
-/// [`main_algorithm_sharded`] regardless of what the scratch previously
-/// held — see [`SolveScratch`].
+/// a text tenant passes `shard_labels(inst)`.
+///
+/// The labels may merge components. They must keep every stored pair, and
+/// every dense or unit store of two or more members, inside one non-pool
+/// shard, and pool members must share no stored pair (the contract of
+/// [`ShardedSolver::new_in_with_labels`]). Under that contract the outcome
+/// is bit-identical to [`main_algorithm_sharded`], whatever the scratch
+/// previously held — see [`SolveScratch`].
 pub fn main_algorithm_packed(
     inst: &Instance,
     labels: par_core::ShardLabels,
@@ -84,16 +89,6 @@ pub fn main_algorithm_packed(
     let cb = solver.solve_scratch(GreedyRule::CostBenefit, scratch);
     solver.recycle(scratch);
     pick_winner(uc, cb)
-}
-
-/// Dispatches to [`main_algorithm_sharded`] or [`main_algorithm`] based on a
-/// configuration knob (see `phocus::PhocusConfig::sharding`).
-pub fn main_algorithm_with(inst: &Instance, sharding: bool) -> MainOutcome {
-    if sharding {
-        main_algorithm_sharded(inst)
-    } else {
-        main_algorithm(inst)
-    }
 }
 
 /// `argmax(res1, res2)` — ties go to CB, which is also the paper's

@@ -483,10 +483,16 @@ impl<'a> ShardedSolver<'a> {
     /// [`new`](Self::new) with the component labeling precomputed — labels
     /// bulk-read from a `phocus-pack` file, or `shard_labels(inst)` from a
     /// fleet worker — drawing the base evaluator's buffers from `scratch`.
-    /// The labels must equal `shard_labels(inst)` (the pack writer derives
-    /// them exactly so); everything downstream is bit-identical to
-    /// [`new`](Self::new). Pair with [`recycle`](Self::recycle) to return
-    /// the buffers afterwards.
+    /// Pair with [`recycle`](Self::recycle) to return the buffers afterwards.
+    ///
+    /// The labels need not equal `shard_labels(inst)`. Every solve is
+    /// bit-identical to [`new`](Self::new)'s as long as:
+    /// - every stored pair, and every dense or unit store of two or more
+    ///   members, sits inside one non-pool shard;
+    /// - the singleton pool's members share no stored pair.
+    ///
+    /// Labels that merge components (several components on one shard) meet
+    /// both, and the pack reader accepts them.
     pub fn new_in_with_labels(
         inst: &'a Instance,
         labels: ShardLabels,
@@ -565,9 +571,9 @@ impl<'a> ShardedSolver<'a> {
     /// [`solve`](Self::solve) under an arbitrary budget `B'` instead of the
     /// instance's own: bit-identical to solving `inst.with_budget(B')` from
     /// scratch, but reusing this solver's shard labels, `S₀` replay and
-    /// seed sweep (all budget-independent). This is what lets a sorted
-    /// budget sweep — [`quality_curve`](crate::quality_curve) — prepare the
-    /// sharded solver once.
+    /// seed sweep (all budget-independent). This is what lets the budget
+    /// planner (`phocus::minimal_budget`) prepare the sharded solver once for
+    /// all its probes.
     pub fn solve_with_budget(&self, rule: GreedyRule, budget: u64) -> GreedyOutcome {
         self.run(rule, budget, None).outcome
     }

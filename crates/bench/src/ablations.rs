@@ -8,7 +8,7 @@ use crate::Series;
 use par_algo::{main_algorithm, swap_local_search, LocalSearchConfig};
 use par_core::Solution;
 use par_sparse::sparsification_bound;
-use phocus::{compare_remove_vs_compress, represent, ActionLadder, RepresentationConfig, Sparsification};
+use phocus::{represent, solve_multi_action, ActionLadder, RepresentationConfig, Sparsification};
 
 /// Contextualization ablation: quality of the PHOcus solution as the
 /// attention floor `blend` moves from fully contextual (0) to non-contextual
@@ -84,33 +84,32 @@ pub fn ablation_tau(_scale: Scale) -> Vec<Series> {
 /// at tight budgets. Values: quality and variant counts.
 pub fn ablation_compression(_scale: Scale) -> Vec<Series> {
     let u = dataset(DatasetId::P1K, Scale::Scaled);
+    let cfg = RepresentationConfig::default();
     let mut rows = Vec::new();
     for (label, divisor) in [("4%", 25u64), ("10%", 10), ("25%", 4)] {
         let budget = u.total_cost() / divisor;
-        let cmp = compare_remove_vs_compress(
-            &u,
-            budget,
-            &ActionLadder::standard(),
-            &RepresentationConfig::default(),
-        )
-        .expect("comparison runs");
+        let solve = |ladder: &ActionLadder| {
+            solve_multi_action(&u, budget, ladder, &cfg).expect("multi-action solve runs")
+        };
+        let remove_only = solve(&ActionLadder::delete_only());
+        let compressed = solve(&ActionLadder::standard());
         rows.push(Series::new(
             "ablation_compression",
             label,
             "remove-only",
-            cmp.remove_only,
+            remove_only.score,
         ));
         rows.push(Series::new(
             "ablation_compression",
             label,
             "with compression",
-            cmp.with_compression,
+            compressed.score,
         ));
         rows.push(Series::new(
             "ablation_compression",
             label,
             "kept compressed",
-            cmp.kept_compressed as f64,
+            compressed.kept_compressed as f64,
         ));
     }
     rows

@@ -771,7 +771,7 @@ mod tests {
         // path genuinely exercises concurrent gain queries.
         let prev = par_exec::Parallelism::with_threads(4).install_global();
         let batched = batch.batch_gains(&candidates);
-        par_exec::set_global_threads(prev.threads);
+        prev.install_global();
 
         assert_eq!(serial_gains.len(), batched.len());
         for (i, (s, b)) in serial_gains.iter().zip(&batched).enumerate() {

@@ -29,11 +29,11 @@
 //!
 //! ## Thread-count resolution
 //!
-//! Effective worker count = explicit argument (when using the `*_with`
-//! variants) → process-wide override ([`set_global_threads`]) → available
-//! hardware parallelism. A count of 1 short-circuits to the serial path;
-//! without the `parallel` feature everything is serial regardless. [`join`]
-//! has no `_with` variant: it always follows the installed count.
+//! Every kernel follows the installed count: the process-wide
+//! [`Parallelism`] set by [`Parallelism::install_global`], else the
+//! available hardware parallelism. A count of 1 short-circuits to the
+//! serial path; without the `parallel` feature everything is serial
+//! regardless.
 
 #![forbid(unsafe_code)]
 
@@ -92,20 +92,10 @@ fn decode(raw: usize) -> Option<usize> {
     raw.checked_sub(1)
 }
 
-/// Sets the process-wide default worker count (`None` clears the override).
-pub fn set_global_threads(threads: Option<usize>) {
-    GLOBAL_THREADS.store(encode(threads), Ordering::Relaxed);
-}
-
-/// The process-wide default worker count override, if any.
-pub fn global_threads() -> Option<usize> {
-    decode(GLOBAL_THREADS.load(Ordering::Relaxed))
-}
-
 /// Resolves an optional explicit thread count to a concrete worker count:
-/// explicit value → global override → available parallelism.
-pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    match explicit.or_else(global_threads) {
+/// explicit value → installed override → available parallelism.
+fn resolve_threads(explicit: Option<usize>) -> usize {
+    match explicit.or_else(|| decode(GLOBAL_THREADS.load(Ordering::Relaxed))) {
         Some(n) => n.max(1),
         None => available_threads(),
     }
@@ -161,16 +151,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    par_map_indexed_with(None, len, f)
-}
-
-/// [`par_map_indexed`] with an explicit worker count (`None` = default).
-pub fn par_map_indexed_with<T, F>(threads: Option<usize>, len: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = resolve_threads(threads).min(len.max(1));
+    let workers = resolve_threads(None).min(len.max(1));
     if !parallel_enabled() || workers <= 1 || len < 2 || on_worker_thread() {
         return (0..len).map(f).collect();
     }
@@ -185,17 +166,7 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_slice_with(None, items, f)
-}
-
-/// [`par_map_slice`] with an explicit worker count (`None` = default).
-pub fn par_map_slice_with<T, U, F>(threads: Option<usize>, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_indexed_with(threads, items.len(), |i| f(&items[i]))
+    par_map_indexed(items.len(), |i| f(&items[i]))
 }
 
 /// Deterministic parallel sum: computes `f(i)` for `i in 0..len` in
@@ -229,17 +200,7 @@ where
     M: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    par_map_dynamic_with(None, len, make_state, f)
-}
-
-/// [`par_map_dynamic`] with an explicit worker count (`None` = default).
-pub fn par_map_dynamic_with<S, T, M, F>(threads: Option<usize>, len: usize, make_state: M, f: F) -> Vec<T>
-where
-    T: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let workers = resolve_threads(threads).min(len.max(1));
+    let workers = resolve_threads(None).min(len.max(1));
     if !parallel_enabled() || workers <= 1 || len < 2 || on_worker_thread() {
         let mut state = make_state();
         return (0..len).map(|i| f(&mut state, i)).collect();
@@ -426,21 +387,26 @@ mod tests {
         let items: Vec<u64> = (0..997).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
         for threads in [None, Some(1), Some(2), Some(4), Some(16)] {
-            let parallel = par_map_slice_with(threads, &items, |&x| x * x + 1);
+            let parallel =
+                with_installed(Parallelism { threads }, || par_map_slice(&items, |&x| x * x + 1));
             assert_eq!(parallel, serial, "threads={threads:?}");
         }
     }
 
     #[test]
     fn par_map_indexed_preserves_order() {
-        let out = par_map_indexed_with(Some(8), 100, |i| i as u64 * 3);
+        let out = with_installed(Parallelism::with_threads(8), || {
+            par_map_indexed(100, |i| i as u64 * 3)
+        });
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<u64>>());
     }
 
     #[test]
     fn empty_and_single_inputs() {
-        assert!(par_map_indexed_with(Some(4), 0, |i| i).is_empty());
-        assert_eq!(par_map_indexed_with(Some(4), 1, |i| i + 7), vec![7]);
+        with_installed(Parallelism::with_threads(4), || {
+            assert!(par_map_indexed(0, |i| i).is_empty());
+            assert_eq!(par_map_indexed(1, |i| i + 7), vec![7]);
+        });
     }
 
     #[test]
@@ -458,35 +424,36 @@ mod tests {
     #[test]
     fn global_override_round_trips() {
         let _guard = global_lock();
-        assert_eq!(global_threads(), None);
-        set_global_threads(Some(3));
-        assert_eq!(global_threads(), Some(3));
+        let unset = Parallelism::with_threads(3).install_global();
+        assert_eq!(unset, Parallelism::default());
         assert_eq!(resolve_threads(None), 3);
         assert_eq!(resolve_threads(Some(2)), 2);
         let prev = Parallelism::serial().install_global();
         assert_eq!(prev.threads, Some(3));
         assert_eq!(resolve_threads(None), 1);
-        set_global_threads(None);
-        assert_eq!(global_threads(), None);
+        assert_eq!(unset.install_global(), Parallelism::serial());
+        assert_eq!(resolve_threads(None), available_threads());
     }
 
     #[test]
     fn pool_reuse_stress_many_small_calls() {
         // Thousands of tiny kernel calls: the persistent pool must absorb
         // rapid scope turnover without losing or reordering results.
-        for round in 0..3000u64 {
-            let out = par_map_indexed_with(Some(4), 8, |i| i as u64 * 3 + round);
-            let expected: Vec<u64> = (0..8).map(|i| i * 3 + round).collect();
-            assert_eq!(out, expected, "round {round}");
-        }
+        with_installed(Parallelism::with_threads(4), || {
+            for round in 0..3000u64 {
+                let out = par_map_indexed(8, |i| i as u64 * 3 + round);
+                let expected: Vec<u64> = (0..8).map(|i| i * 3 + round).collect();
+                assert_eq!(out, expected, "round {round}");
+            }
+        });
     }
 
     #[test]
     fn nested_calls_fall_back_to_serial_and_stay_correct() {
         // Inner kernels run on pool workers, which must take the serial
         // path rather than re-entering the pool (deadlock avoidance).
-        let out = par_map_indexed_with(Some(4), 16, |i| {
-            par_sum_f64(10, |k| (i * 10 + k) as f64)
+        let out = with_installed(Parallelism::with_threads(4), || {
+            par_map_indexed(16, |i| par_sum_f64(10, |k| (i * 10 + k) as f64))
         });
         let expected: Vec<f64> = (0..16)
             .map(|i| (0..10).map(|k| (i * 10 + k) as f64).sum())
@@ -498,7 +465,9 @@ mod tests {
     fn par_map_dynamic_matches_serial_at_every_thread_count() {
         let serial: Vec<u64> = (0..257).map(|i| i as u64 * 7 + 1).collect();
         for threads in [None, Some(1), Some(2), Some(4), Some(16)] {
-            let out = par_map_dynamic_with(threads, 257, || (), |(), i| i as u64 * 7 + 1);
+            let out = with_installed(Parallelism { threads }, || {
+                par_map_dynamic(257, || (), |(), i| i as u64 * 7 + 1)
+            });
             assert_eq!(out, serial, "threads={threads:?}");
         }
     }
@@ -507,9 +476,11 @@ mod tests {
     fn par_map_dynamic_reuses_state_within_a_participant() {
         // The scratch state is reused across claimed items: with a serial
         // run (1 thread) a counter state sees every index once, in order.
-        let out = par_map_dynamic_with(Some(1), 6, || 0u64, |calls, i| {
-            *calls += 1;
-            (*calls, i)
+        let out = with_installed(Parallelism::serial(), || {
+            par_map_dynamic(6, || 0u64, |calls, i| {
+                *calls += 1;
+                (*calls, i)
+            })
         });
         let expected: Vec<(u64, usize)> = (0..6).map(|i| (i as u64 + 1, i)).collect();
         assert_eq!(out, expected);
@@ -517,8 +488,10 @@ mod tests {
 
     #[test]
     fn par_map_dynamic_empty_and_single() {
-        assert!(par_map_dynamic_with(Some(4), 0, || (), |(), i| i).is_empty());
-        assert_eq!(par_map_dynamic_with(Some(4), 1, || (), |(), i| i + 9), vec![9]);
+        with_installed(Parallelism::with_threads(4), || {
+            assert!(par_map_dynamic(0, || (), |(), i| i).is_empty());
+            assert_eq!(par_map_dynamic(1, || (), |(), i| i + 9), vec![9]);
+        });
     }
 
     #[test]

@@ -36,11 +36,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// runs its two closures at once, so either may race the other.
 const FAN_OUT: &[&str] = &[
     "par_map_indexed",
-    "par_map_indexed_with",
     "par_map_slice",
-    "par_map_slice_with",
     "par_map_dynamic",
-    "par_map_dynamic_with",
     "par_sum_f64",
     "join",
 ];

@@ -130,17 +130,15 @@ USAGE:
   phocus demo
   phocus table2 [--full] [--seed N]
   phocus solve --dataset <NAME> --budget-mb <MB> [--tau T] [--ns] [--seed N] [--threads N]
-               [--no-sharding] [--out FILE]
+               [--out FILE]
   phocus suite --dataset <NAME> --budget-mb <MB> [--tau T] [--seed N]
   phocus compress --dataset <NAME> --budget-mb <MB> [--seed N] [--threads N]
-               [--ladder SPEC|none|paper] [--no-sharding] [--frontier N]
-               [--out FILE]
+               [--ladder SPEC|none|paper] [--frontier N] [--out FILE]
   phocus export --dataset <NAME> --out <FILE> [--seed N]
   phocus plan --dataset <NAME> --target <FRACTION> [--tau T] [--ns] [--seed N]
   phocus serve-batch --list <FILE|-> [--budget-frac F | --budget-mb MB]
-               [--tau T] [--ns] [--threads N] [--fresh-arenas] [--out-dir DIR]
-  phocus serve-batch --catalog <DIR> [--threads N] [--fresh-arenas]
-               [--out-dir DIR]
+               [--tau T] [--ns] [--threads N] [--out-dir DIR]
+  phocus serve-batch --catalog <DIR> [--threads N] [--out-dir DIR]
   phocus epochs --dataset <NAME> --budget-mb <MB> [--trace FILE]
                [--epochs N] [--churn F] [--tau T] [--ns] [--seed N]
                [--threads N] [--check] [--export-trace FILE]
@@ -168,11 +166,11 @@ COMPRESS: multi-action archival — keep, recompress, or delete each photo.
   (reproduces `solve`'s remove-only model exactly), `paper` is the
   recompression paper's measured ladder; the default is a built-in
   two-rung ladder. Both solutions are scored on the ε-free objective,
-  directly comparable. --frontier N sweeps N budgets up to --budget-mb and
-  prints delete-only vs multi-action frontier curves. --out writes the
-  retained actions as a TSV (id, parent, action, cost, name) in selection
-  order; --no-sharding and --threads have `solve` semantics (solutions are
-  bit-identical either way).
+  directly comparable. --frontier N solves both at N budgets up to
+  --budget-mb and prints the delete-only vs multi-action frontier; its
+  last row is the headline pair. --out writes the retained actions as a TSV
+  (id, parent, action, cost, name) in selection order; --threads has
+  `solve` semantics (solutions are bit-identical at any count).
 
 PACK / CATALOG: `pack` represents one dataset and writes it as a
   `phocus-pack` image — a checksummed binary section file that later loads
@@ -415,7 +413,7 @@ fn cmd_solve(rest: &[String]) -> Result<(), CliError> {
         representation: representation.clone(),
         certify_sparsification: !flag(rest, "--ns"),
         parallelism: Parallelism::with_threads(parse(rest, "--threads", 0usize)?),
-        sharding: !flag(rest, "--no-sharding"),
+        ..Default::default()
     });
     println!(
         "dataset {} — {} photos, {} subsets, archive {:.1} MB",
@@ -451,7 +449,6 @@ fn cmd_compress(rest: &[String]) -> Result<(), CliError> {
         None => ActionLadder::standard(),
         Some(spec) => ActionLadder::parse(&spec).map_err(CliError::Pipeline)?,
     };
-    let sharding = !flag(rest, "--no-sharding");
     let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
     let cfg = RepresentationConfig::default();
     let rungs: Vec<String> = ladder
@@ -470,14 +467,8 @@ fn cmd_compress(rest: &[String]) -> Result<(), CliError> {
     // Two multi-action solves on the same ε-free objective: the degenerate
     // delete-only ladder *is* remove-only archival (bit for bit), so the
     // comparison needs no separate code path.
-    let remove = phocus::solve_multi_action(
-        &universe,
-        budget,
-        &ActionLadder::delete_only(),
-        &cfg,
-        sharding,
-    )?;
-    let ma = phocus::solve_multi_action(&universe, budget, &ladder, &cfg, sharding)?;
+    let remove = phocus::solve_multi_action(&universe, budget, &ActionLadder::delete_only(), &cfg)?;
+    let ma = phocus::solve_multi_action(&universe, budget, &ladder, &cfg)?;
     println!("remove-only quality:        {:.2}", remove.score);
     // A zero remove-only score (zero budget, empty demand) has no
     // meaningful percentage — omit it instead of printing NaN/inf.
@@ -619,7 +610,7 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
     let engine = FleetEngine::new(FleetEngineConfig {
         representation,
         parallelism: Parallelism::with_threads(threads),
-        reuse_arenas: !flag(rest, "--fresh-arenas"),
+        ..Default::default()
     });
     serve_and_report(&loaded, opt(rest, "--out-dir"), |t| engine.run(t))
 }
@@ -649,9 +640,8 @@ fn serve_batch_catalog(rest: &[String], dir: &str) -> Result<(), CliError> {
         })
         .collect();
     let engine = FleetEngine::new(FleetEngineConfig {
-        representation: RepresentationConfig::default(), // unused on the packed path
         parallelism: Parallelism::with_threads(threads),
-        reuse_arenas: !flag(rest, "--fresh-arenas"),
+        ..Default::default() // the representation is unused on the packed path
     });
     serve_and_report(&loaded, opt(rest, "--out-dir"), |t| engine.run_packed(t))
 }

@@ -32,7 +32,7 @@
 
 use crate::error::{PhocusError, Result};
 use crate::representation::{represent, RepresentationConfig};
-use par_algo::{main_algorithm_sharded, main_algorithm_with, quality_curve};
+use par_algo::main_algorithm_sharded;
 use par_core::{Instance, PhotoId};
 use par_datasets::{SubsetDef, Universe};
 
@@ -402,51 +402,58 @@ pub fn epsilon_free_score(inst: &Instance, map: &VariantMap, selected: &[PhotoId
     total
 }
 
+/// Keeps exactly one representative per selected photo: the
+/// highest-quality selected variant, ties broken by lowest index, so
+/// duplicate-quality ladder rungs never retain redundant copies. The
+/// survivors keep their order in `selected`.
+pub fn prune_superseded(
+    map: &VariantMap,
+    ladder: &ActionLadder,
+    selected: &[PhotoId],
+) -> Vec<PhotoId> {
+    // keeper[parent] = selected variant with the highest quality, lowest
+    // index on ties (the original, when selected: quality 1 > any
+    // rendition's). HashMap lookups only — no iteration order leaks.
+    let mut keeper: std::collections::HashMap<u32, (f64, u32)> = std::collections::HashMap::new();
+    for &p in selected {
+        let parent = map.parent[p.index()];
+        let q = ladder.quality_of(map.level[p.index()]);
+        let entry = keeper.entry(parent).or_insert((q, p.0));
+        if q > entry.0 || (q == entry.0 && p.0 < entry.1) {
+            *entry = (q, p.0);
+        }
+    }
+    selected
+        .iter()
+        .copied()
+        .filter(|&p| keeper.get(&map.parent[p.index()]).map(|e| e.1) == Some(p.0))
+        .collect()
+}
+
 /// Drops superseded renditions from a selection and greedily refills the
 /// freed budget.
 ///
 /// The monotone greedy never *removes*, so when a cheap rendition selected
 /// early is later upgraded (by a better rendition or the original of the
 /// same photo), its bytes stay stranded in the solution. This repair pass
-/// keeps exactly one representative per selected photo — the highest-quality
-/// selected variant, ties broken by lowest index, so duplicate-quality
-/// ladder rungs never retain redundant copies — then resumes the
-/// cost-benefit lazy greedy with the recovered budget (through the sharded
-/// solver, bit-identical to the global one). Monotonicity guarantees the
-/// result never scores worse than the input selection minus the ε-demand of
-/// the pruned renditions.
+/// keeps one representative per selected photo ([`prune_superseded`]), then
+/// resumes the cost-benefit lazy greedy with the recovered budget (through
+/// the sharded solver, bit-identical to the global one). Monotonicity
+/// guarantees the result never scores worse than the input selection minus
+/// the ε-demand of the pruned renditions.
 pub fn prune_and_refill(
     inst: &Instance,
     map: &VariantMap,
     ladder: &ActionLadder,
     selected: &[PhotoId],
 ) -> Vec<PhotoId> {
-    let prune = |sel: &[PhotoId]| -> Vec<PhotoId> {
-        // keeper[parent] = selected variant with the highest quality,
-        // lowest index on ties (the original, when selected: quality 1 > any
-        // rendition's). HashMap lookups only — no iteration order leaks.
-        let mut keeper: std::collections::HashMap<u32, (f64, u32)> =
-            std::collections::HashMap::new();
-        for &p in sel {
-            let parent = map.parent[p.index()];
-            let q = ladder.quality_of(map.level[p.index()]);
-            let entry = keeper.entry(parent).or_insert((q, p.0));
-            if q > entry.0 || (q == entry.0 && p.0 < entry.1) {
-                *entry = (q, p.0);
-            }
-        }
-        sel.iter()
-            .copied()
-            .filter(|&p| keeper.get(&map.parent[p.index()]).map(|e| e.1) == Some(p.0))
-            .collect()
-    };
-    let kept = prune(selected);
+    let kept = prune_superseded(map, ladder, selected);
     let refilled =
         par_algo::sharded_lazy_greedy_from(inst, &kept, par_algo::GreedyRule::CostBenefit).selected;
     // Algorithm 2 fills the budget even with near-zero gains, which can
     // re-introduce dominated renditions as filler; a final prune leaves
     // that budget unused instead of stored as junk.
-    prune(&refilled)
+    prune_superseded(map, ladder, &refilled)
 }
 
 /// A multi-action solve: the expanded instance, its variant map, and the
@@ -470,9 +477,51 @@ pub struct MultiActionSolve {
     pub kept_compressed: usize,
 }
 
-/// Solves the multi-action PAR model: expand with `ladder`, solve the
-/// expanded instance (Algorithm 1 on the component-sharded solver when
-/// `sharding`, the global one otherwise — bit-identical transcripts), then
+/// The instance a multi-action solve runs on, with its variant map: the
+/// expanded instance for a ladder with rungs, the plain remove-only
+/// instance and the identity map for the delete-only ladder.
+fn represent_actions(
+    universe: &Universe,
+    budget: u64,
+    ladder: &ActionLadder,
+    cfg: &RepresentationConfig,
+) -> Result<(Instance, VariantMap)> {
+    if ladder.is_empty() {
+        let inst = represent(universe, budget, cfg)?;
+        let map = VariantMap::identity(inst.num_photos());
+        return Ok((inst, map));
+    }
+    let (expanded, map) = expand_with_variants(universe, ladder);
+    let inst = represent_with_variants(&expanded, &map, ladder, budget, cfg)?;
+    Ok((inst, map))
+}
+
+/// Algorithm 1 on the component-sharded solver, then — for a ladder with
+/// rungs — the [`prune_and_refill`] repair, keeping whichever of the raw and
+/// repaired selections scores higher on the ε-free objective (repaired on
+/// ties). The delete-only ladder skips the repair and keeps Algorithm 1's
+/// own score. Returns the selection and its score.
+fn solve_represented(
+    inst: &Instance,
+    map: &VariantMap,
+    ladder: &ActionLadder,
+) -> (Vec<PhotoId>, f64) {
+    let out = main_algorithm_sharded(inst);
+    if ladder.is_empty() {
+        return (out.best.selected, out.best.score);
+    }
+    let repaired = prune_and_refill(inst, map, ladder, &out.best.selected);
+    let repaired_score = epsilon_free_score(inst, map, &repaired);
+    let raw_score = epsilon_free_score(inst, map, &out.best.selected);
+    if repaired_score >= raw_score {
+        (repaired, repaired_score)
+    } else {
+        (out.best.selected, raw_score)
+    }
+}
+
+/// Solves the multi-action PAR model: expand with `ladder`, run Algorithm 1
+/// on the expanded instance through the component-sharded solver, then
 /// apply the [`prune_and_refill`] repair, reporting whichever of the raw and
 /// repaired selections scores higher on the ε-free objective (repaired on
 /// ties).
@@ -485,104 +534,45 @@ pub fn solve_multi_action(
     budget: u64,
     ladder: &ActionLadder,
     cfg: &RepresentationConfig,
-    sharding: bool,
 ) -> Result<MultiActionSolve> {
-    if ladder.is_empty() {
-        let inst = represent(universe, budget, cfg)?;
-        let out = main_algorithm_with(&inst, sharding);
-        let map = VariantMap::identity(inst.num_photos());
-        let kept_original = out.best.selected.len();
-        return Ok(MultiActionSolve {
-            map,
-            selected: out.best.selected,
-            score: out.best.score,
-            kept_original,
-            kept_compressed: 0,
-            instance: inst,
-        });
-    }
-    let (expanded, map) = expand_with_variants(universe, ladder);
-    let inst = represent_with_variants(&expanded, &map, ladder, budget, cfg)?;
-    let out = main_algorithm_with(&inst, sharding);
-    let repaired = prune_and_refill(&inst, &map, ladder, &out.best.selected);
-    let repaired_score = epsilon_free_score(&inst, &map, &repaired);
-    let raw_score = epsilon_free_score(&inst, &map, &out.best.selected);
-    let (selected, score) = if repaired_score >= raw_score {
-        (repaired, repaired_score)
-    } else {
-        (out.best.selected, raw_score)
-    };
-    let mut kept_original = 0;
-    let mut kept_compressed = 0;
-    for &p in &selected {
-        if map.is_original(p.index()) {
-            kept_original += 1;
-        } else {
-            kept_compressed += 1;
-        }
-    }
+    let (instance, map) = represent_actions(universe, budget, ladder, cfg)?;
+    let (selected, score) = solve_represented(&instance, &map, ladder);
+    let kept_compressed = selected
+        .iter()
+        .filter(|p| !map.is_original(p.index()))
+        .count();
     Ok(MultiActionSolve {
-        instance: inst,
+        kept_original: selected.len() - kept_compressed,
+        kept_compressed,
+        instance,
         map,
         selected,
         score,
-        kept_original,
-        kept_compressed,
-    })
-}
-
-/// Outcome of the remove-vs-compress comparison. Both scores are measured
-/// on the ε-free objective ([`epsilon_free_score`]), so they are directly
-/// comparable.
-#[derive(Debug, Clone)]
-pub struct CompressionComparison {
-    /// Quality of the remove-only solution (original model).
-    pub remove_only: f64,
-    /// ε-free quality of the multi-action solution on the expanded
-    /// instance.
-    pub with_compression: f64,
-    /// Photos kept at full quality in the multi-action solution.
-    pub kept_original: usize,
-    /// Number of compressed renditions retained.
-    pub kept_compressed: usize,
-}
-
-/// Runs the future-work experiment: same universe, same budget, with and
-/// without the compression ladder, on the component-sharded solver.
-pub fn compare_remove_vs_compress(
-    universe: &Universe,
-    budget: u64,
-    ladder: &ActionLadder,
-    cfg: &RepresentationConfig,
-) -> Result<CompressionComparison> {
-    let base = represent(universe, budget, cfg)?;
-    let remove_only = main_algorithm_sharded(&base).best.score;
-    let ma = solve_multi_action(universe, budget, ladder, cfg, true)?;
-    Ok(CompressionComparison {
-        remove_only,
-        with_compression: ma.score,
-        kept_original: ma.kept_original,
-        kept_compressed: ma.kept_compressed,
     })
 }
 
 /// One point of a delete-only vs multi-action quality frontier.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontierPoint {
-    /// The budget (bytes).
+    /// The budget (bytes), clamped up to the required set's cost.
     pub budget: u64,
-    /// Remove-only quality at this budget.
+    /// [`solve_multi_action`]'s score at this budget with the delete-only
+    /// ladder (remove-only quality).
     pub delete_only: f64,
-    /// Multi-action quality at this budget, on the expanded instance.
-    /// Carries the renditions' ε relevance (bounded by the ladder size ×
-    /// 1e-6, relative) — negligible at figure scale.
+    /// [`solve_multi_action`]'s score at this budget with the frontier's
+    /// ladder (ε-free multi-action quality).
     pub multi_action: f64,
 }
 
-/// Figure-5-style frontier curves: delete-only vs multi-action quality
-/// across `budgets`, each side swept with [`par_algo::quality_curve`]'s
-/// prepared-decomposition path (one sharded preparation plus cheap prefix
-/// evaluations per side, instead of one solve per budget per side).
+/// Figure-5-style frontier curves: delete-only vs multi-action quality at
+/// each of `budgets`, in input order. Budgets below the required set's cost
+/// `C(S₀)` are clamped up to it.
+///
+/// Each point is bit-identical to two [`solve_multi_action`] calls at its
+/// (clamped) budget. Each side is represented once, at the largest budget:
+/// similarity stores do not depend on the budget, so that instance
+/// re-budgeted to `b` is the one representing at `b` builds. Only the solve
+/// runs per point.
 pub fn multi_action_frontier(
     universe: &Universe,
     budgets: &[u64],
@@ -590,22 +580,30 @@ pub fn multi_action_frontier(
     cfg: &RepresentationConfig,
 ) -> Result<Vec<FrontierPoint>> {
     let max_budget = budgets.iter().copied().max().unwrap_or(1).max(1);
-    let base = represent(universe, max_budget, cfg)?;
-    let delete_only = quality_curve(&base, budgets);
+    let curve = |ladder: &ActionLadder| -> Result<Vec<(u64, f64)>> {
+        let (inst, map) = represent_actions(universe, max_budget, ladder, cfg)?;
+        budgets
+            .iter()
+            .map(|&b| {
+                let budget = b.max(inst.required_cost());
+                let at = inst.with_budget(budget)?;
+                Ok((budget, solve_represented(&at, &map, ladder).1))
+            })
+            .collect()
+    };
+    let delete_only = curve(&ActionLadder::delete_only())?;
     let multi = if ladder.is_empty() {
         delete_only.clone()
     } else {
-        let (expanded, map) = expand_with_variants(universe, ladder);
-        let inst = represent_with_variants(&expanded, &map, ladder, max_budget, cfg)?;
-        quality_curve(&inst, budgets)
+        curve(ladder)?
     };
     Ok(delete_only
         .iter()
         .zip(&multi)
-        .map(|(d, m)| FrontierPoint {
-            budget: d.budget,
-            delete_only: d.score,
-            multi_action: m.score,
+        .map(|(&(budget, d), &(_, m))| FrontierPoint {
+            budget,
+            delete_only: d,
+            multi_action: m,
         })
         .collect())
 }
@@ -723,28 +721,21 @@ mod tests {
     fn compression_never_hurts_and_usually_helps_tight_budgets() {
         let u = universe();
         let budget = u.total_cost() / 12; // tight: compression should shine
-        let cmp = compare_remove_vs_compress(
-            &u,
-            budget,
-            &ActionLadder::standard(),
-            &RepresentationConfig::default(),
-        )
-        .unwrap();
+        let cfg = RepresentationConfig::default();
+        let remove_only = solve_multi_action(&u, budget, &ActionLadder::delete_only(), &cfg)
+            .unwrap()
+            .score;
+        let ma = solve_multi_action(&u, budget, &ActionLadder::standard(), &cfg).unwrap();
         assert!(
-            cmp.with_compression >= cmp.remove_only - 1e-9,
-            "compression made things worse: {} < {}",
-            cmp.with_compression,
-            cmp.remove_only
+            ma.score >= remove_only - 1e-9,
+            "compression made things worse: {} < {remove_only}",
+            ma.score
         );
+        assert!(ma.kept_compressed > 0, "ladder never used at a tight budget");
         assert!(
-            cmp.kept_compressed > 0,
-            "ladder never used at a tight budget"
-        );
-        assert!(
-            cmp.with_compression > 1.02 * cmp.remove_only,
-            "expected a visible gain: {} vs {}",
-            cmp.with_compression,
-            cmp.remove_only
+            ma.score > 1.02 * remove_only,
+            "expected a visible gain: {} vs {remove_only}",
+            ma.score
         );
         // Pinned ε-free numbers (both sides on the original photos'
         // demand): the old comparison read the expanded instance's exact
@@ -753,16 +744,15 @@ mod tests {
         // remove-only side. These are the corrected values.
         let close = |x: f64, pin: f64| (x - pin).abs() <= 1e-6 * pin;
         assert!(
-            close(cmp.remove_only, 149.72709166561123),
-            "remove-only drifted: {}",
-            cmp.remove_only
+            close(remove_only, 149.72709166561123),
+            "remove-only drifted: {remove_only}"
         );
         assert!(
-            close(cmp.with_compression, 185.30881724362274),
+            close(ma.score, 185.30881724362274),
             "multi-action drifted: {}",
-            cmp.with_compression
+            ma.score
         );
-        assert_eq!((cmp.kept_original, cmp.kept_compressed), (2, 63));
+        assert_eq!((ma.kept_original, ma.kept_compressed), (2, 63));
     }
 
     #[test]
@@ -980,7 +970,7 @@ mod tests {
         let cfg = RepresentationConfig::default();
         let base = represent(&u, budget, &cfg).unwrap();
         let remove_only = par_algo::main_algorithm_sharded(&base);
-        let ma = solve_multi_action(&u, budget, &ActionLadder::delete_only(), &cfg, true).unwrap();
+        let ma = solve_multi_action(&u, budget, &ActionLadder::delete_only(), &cfg).unwrap();
         assert_eq!(ma.selected, remove_only.best.selected);
         assert_eq!(ma.score.to_bits(), remove_only.best.score.to_bits());
         assert_eq!(ma.kept_original, remove_only.best.selected.len());
@@ -1003,9 +993,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(frontier.len(), budgets.len());
-        // Both curves are prefix heuristics (a few percent below the true
-        // greedy, bounded by the curve tests), so dominance holds up to
-        // that slack rather than pointwise exactly.
+        // Each row is a greedy answer, not an optimum, and the two sides run
+        // on different ground sets, so dominance holds up to a slack rather
+        // than pointwise exactly.
         for p in &frontier {
             assert!(
                 p.multi_action >= 0.97 * p.delete_only,
@@ -1033,5 +1023,41 @@ mod tests {
         for p in &flat {
             assert_eq!(p.delete_only.to_bits(), p.multi_action.to_bits());
         }
+    }
+
+    #[test]
+    fn frontier_rows_are_the_solves_at_their_budgets() {
+        let mut u = universe();
+        u.required = vec![0, 1, 2];
+        let floor: u64 = u.required.iter().map(|&r| u.costs[r as usize]).sum();
+        let total = u.total_cost();
+        let cfg = RepresentationConfig::default();
+        let ladder = ActionLadder::standard();
+        // Unsorted on purpose; the first budget is below C(S₀) and is clamped
+        // up to it.
+        let budgets = [floor - 1, total / 12, total / 5, total / 8];
+        let frontier = multi_action_frontier(&u, &budgets, &ladder, &cfg).unwrap();
+        assert_eq!(frontier.len(), budgets.len());
+        for (point, &b) in frontier.iter().zip(&budgets) {
+            let budget = b.max(floor);
+            assert_eq!(point.budget, budget);
+            let remove = solve_multi_action(&u, budget, &ActionLadder::delete_only(), &cfg).unwrap();
+            let ma = solve_multi_action(&u, budget, &ladder, &cfg).unwrap();
+            assert_eq!(
+                point.delete_only.to_bits(),
+                remove.score.to_bits(),
+                "delete-only row at {budget}: {} vs {}",
+                point.delete_only,
+                remove.score
+            );
+            assert_eq!(
+                point.multi_action.to_bits(),
+                ma.score.to_bits(),
+                "multi-action row at {budget}: {} vs {}",
+                point.multi_action,
+                ma.score
+            );
+        }
+        assert_eq!(frontier[0].budget, floor);
     }
 }

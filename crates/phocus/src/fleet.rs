@@ -49,10 +49,11 @@ pub struct FleetEngineConfig {
     /// Worker threads for tenant dispatch (installed as the process-wide
     /// default for the duration of the batch, like a single PHOcus run).
     pub parallelism: Parallelism,
-    /// Draw per-tenant solver state from reusable arenas (default). Turning
-    /// this off allocates fresh evaluator/solver state per tenant — the
-    /// baseline the fleet bench compares against; outcomes are bit-identical
-    /// either way.
+    /// Draw per-tenant solver state from reusable arenas (default, and the
+    /// CLI's only path). Turning this off allocates fresh evaluator/solver
+    /// state per tenant — the baseline the fleet bench compares against;
+    /// outcomes are bit-identical either way. The field stays only while
+    /// `phocus-bench` sets it (ROADMAP item 1).
     pub reuse_arenas: bool,
 }
 

@@ -41,10 +41,9 @@ pub mod solver;
 pub mod suite;
 
 pub use compression::{
-    compare_remove_vs_compress, epsilon_free_score, expand_with_variants, multi_action_frontier,
-    prune_and_refill, represent_with_variants, solve_multi_action, ActionLadder,
-    CompressionComparison, CompressionLevel, FrontierPoint, MultiActionSolve, VariantMap,
-    DEFAULT_LADDER,
+    epsilon_free_score, expand_with_variants, multi_action_frontier, prune_and_refill,
+    prune_superseded, represent_with_variants, solve_multi_action, ActionLadder, CompressionLevel,
+    FrontierPoint, MultiActionSolve, VariantMap, DEFAULT_LADDER,
 };
 pub use catalog::{Catalog, CatalogBuilder, CatalogEntry};
 pub use error::{PhocusError, Result};

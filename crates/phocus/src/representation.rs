@@ -48,11 +48,9 @@ pub enum Sparsification {
 /// Configuration of the Data Representation Module.
 #[derive(Debug, Clone)]
 pub struct RepresentationConfig {
-    /// Use per-subset contextual attention (the paper's contextualized
-    /// embeddings). When false, every context sees the global cosine.
-    pub contextual: bool,
-    /// Attention floor `α ∈ [0,1]` of the contextual reweighting
-    /// (1 ⇒ effectively non-contextual).
+    /// Attention floor `α ∈ [0,1]` of the per-subset contextual reweighting
+    /// (the paper's contextualized embeddings; each subset's context vector
+    /// comes from its label). 1 ⇒ effectively non-contextual.
     pub blend: f32,
     /// EXIF context-distance mixing weight `γ` (0 disables; ignored when the
     /// universe carries no EXIF). Dense and threshold representations only:
@@ -69,7 +67,6 @@ pub struct RepresentationConfig {
 impl Default for RepresentationConfig {
     fn default() -> Self {
         RepresentationConfig {
-            contextual: true,
             blend: 0.3,
             exif_weight: 0.0,
             normalize_per_context: false,
@@ -116,24 +113,18 @@ fn builder_from_universe(universe: &Universe, budget: u64) -> InstanceBuilder {
     b
 }
 
-fn context_vectors(universe: &Universe, cfg: &RepresentationConfig) -> Vec<ContextVector> {
+fn context_vectors(universe: &Universe) -> Vec<ContextVector> {
     let dim = universe.embeddings.first().map(|e| e.dim()).unwrap_or(1);
     universe
         .subsets
         .iter()
-        .map(|s| {
-            if cfg.contextual {
-                ContextVector::from_label(dim, &s.label)
-            } else {
-                ContextVector::uniform(dim)
-            }
-        })
+        .map(|s| ContextVector::from_label(dim, &s.label))
         .collect()
 }
 
 fn contextual_provider(universe: &Universe, cfg: &RepresentationConfig) -> ContextualSimilarity {
     let mut provider =
-        ContextualSimilarity::new(universe.embeddings.clone(), context_vectors(universe, cfg));
+        ContextualSimilarity::new(universe.embeddings.clone(), context_vectors(universe));
     provider.blend = cfg.blend;
     if cfg.exif_weight > 0.0 {
         if let Some(exif) = &universe.exif {
@@ -263,7 +254,7 @@ pub fn represent(universe: &Universe, budget: u64, cfg: &RepresentationConfig) -
             if cfg.exif_weight > 0.0 && universe.exif.is_some() {
                 return Err(PhocusError::UnsupportedWithLsh { field: "exif_weight" });
             }
-            let contexts = context_vectors(universe, cfg);
+            let contexts = context_vectors(universe);
             let subsets = reconstruct_subsets(universe);
 
             // Per-context LSH over *contextual* embeddings ("a different

@@ -2,7 +2,9 @@
 
 use crate::error::Result;
 use crate::representation::{represent, RepresentationConfig, Sparsification};
-use par_algo::{main_algorithm_with, online_bound, GreedyRule, OnlineBound, RunStats};
+use par_algo::{
+    main_algorithm, main_algorithm_sharded, online_bound, GreedyRule, OnlineBound, RunStats,
+};
 use par_core::{Instance, PhotoId};
 use par_datasets::Universe;
 use par_exec::Parallelism;
@@ -22,11 +24,10 @@ pub struct PhocusConfig {
     /// process-wide default for the duration of each run; the selection and
     /// scores are identical at every thread count.
     pub parallelism: Parallelism,
-    /// Solve through the component-sharded CELF driver (default on): the
-    /// instance is decomposed into photo–query connected components, each
-    /// running its own lazy stream under a budget-aware coordinator. The
-    /// selection transcript and score bits are identical to the global
-    /// solver at every thread count; only wall-clock differs.
+    /// Solve through the component-sharded CELF driver (default on) rather
+    /// than the global one. Both settings return identical answers —
+    /// selection transcript and score bits, at every thread count — so the
+    /// field stays only while `phocus-bench` sets it (ROADMAP item 1).
     pub sharding: bool,
 }
 
@@ -109,7 +110,11 @@ impl Phocus {
 
     fn solve_instance_inner(&self, inst: &Instance, represent_time: Duration) -> PhocusReport {
         let t1 = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
-        let outcome = main_algorithm_with(inst, self.config.sharding);
+        let outcome = if self.config.sharding {
+            main_algorithm_sharded(inst)
+        } else {
+            main_algorithm(inst)
+        };
         let solve_time = t1.elapsed();
         let online = online_bound(inst, &outcome.best.selected);
         let sparsification = match (

@@ -7,7 +7,7 @@
 
 use crate::error::Result;
 use crate::representation::{non_contextual_view, represent, RepresentationConfig, Sparsification};
-use par_algo::{baselines, lazy_greedy, main_algorithm_with, GreedyRule};
+use par_algo::{baselines, lazy_greedy, main_algorithm_sharded, GreedyRule};
 use par_core::{Instance, PhotoId, Solution};
 use par_datasets::Universe;
 use rand::rngs::StdRng;
@@ -67,9 +67,6 @@ pub struct SuiteConfig {
     pub rand_seed: u64,
     /// Number of RAND trials averaged into the reported quality.
     pub rand_trials: usize,
-    /// Solve the PHOcus / PHOcus-NS entries through the component-sharded
-    /// CELF driver (default on; transcript-identical to the global solver).
-    pub sharding: bool,
 }
 
 impl Default for SuiteConfig {
@@ -81,7 +78,6 @@ impl Default for SuiteConfig {
             representation: RepresentationConfig::default(),
             rand_seed: 0xBA5E,
             rand_trials: 5,
-            sharding: true,
         }
     }
 }
@@ -150,7 +146,7 @@ pub fn run_suite(universe: &Universe, budget: u64, cfg: &SuiteConfig) -> Result<
         let e = match algo {
             Algo::PhocusNs => {
                 let t = Instant::now();
-                let out = main_algorithm_with(&eval, cfg.sharding);
+                let out = main_algorithm_sharded(&eval);
                 entry(
                     algo,
                     &eval,
@@ -170,7 +166,7 @@ pub fn run_suite(universe: &Universe, budget: u64, cfg: &SuiteConfig) -> Result<
                 let inst = represent(universe, budget, &repr)?;
                 let represent_time = t_r.elapsed();
                 let t_s = Instant::now();
-                let out = main_algorithm_with(&inst, cfg.sharding);
+                let out = main_algorithm_sharded(&inst);
                 entry(
                     algo,
                     &eval,

@@ -39,7 +39,6 @@ pub struct Hit {
 #[derive(Debug)]
 pub struct SearchEngine {
     index: InvertedIndex,
-    params: Bm25Params,
 }
 
 impl SearchEngine {
@@ -47,7 +46,6 @@ impl SearchEngine {
     pub fn build(corpus: &[impl AsRef<str>]) -> Self {
         SearchEngine {
             index: InvertedIndex::build(corpus),
-            params: Bm25Params::default(),
         }
     }
 
@@ -60,6 +58,7 @@ impl SearchEngine {
     /// scores, best first. Ties are broken by ascending document id so
     /// results are fully deterministic.
     pub fn search(&self, query: &str, limit: usize) -> Vec<Hit> {
+        let params = Bm25Params::default();
         let terms = tokenize(query);
         let mut scores: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
         for term in &terms {
@@ -67,7 +66,7 @@ impl SearchEngine {
                 let idf = bm25::idf(self.index.num_docs(), postings.len());
                 for &(doc, tf) in postings {
                     let dl = self.index.doc_len(doc);
-                    let s = bm25::score_term(tf, dl, self.index.avg_doc_len(), idf, &self.params);
+                    let s = bm25::score_term(tf, dl, self.index.avg_doc_len(), idf, &params);
                     *scores.entry(doc).or_insert(0.0) += s;
                 }
             }

@@ -7,7 +7,7 @@
 //! bug. The generators are seeded, so CI runs a fixed, reproducible corpus
 //! (see `ci.sh`).
 
-use par_algo::{main_algorithm_packed, SolveScratch};
+use par_algo::{main_algorithm, main_algorithm_packed, SolveScratch};
 use par_core::fixtures::{random_instance, RandomInstanceConfig};
 use par_core::pack::kind;
 use par_core::{
@@ -614,24 +614,64 @@ fn pack_labels_splitting_an_interaction_are_refused() {
 }
 
 /// Labels that merge components still keep every interaction in one
-/// shard, so they stay accepted and serve the same answer.
+/// shard, so they stay accepted and serve the same answer: the untampered
+/// pack's, and the global `main_algorithm`'s. Inputs: several seeds, sparse,
+/// dense and unit stores, and a tight budget over many required photos.
+/// Merges: every non-pool shard onto one, and neighbouring non-pool shards
+/// in pairs.
 #[test]
 fn pack_labels_merging_components_serve_the_same_answer() {
-    let (inst, bytes) = probe();
-    let labels = shard_labels(&inst);
-    let pool = labels.singleton_pool().expect("probe has a singleton pool") as u32;
-    let shards = labels.photo_shards();
-    let target = *shards.iter().find(|&&s| s != pool).expect("probe has a non-pool shard");
-    assert!(shards.iter().any(|&s| s != pool && s != target));
-    let tampered = tamper(&bytes, kind::LABELS, |b| {
-        for (p, &s) in shards.iter().enumerate() {
-            if s != pool {
-                put_u32(b, 4 * p, target);
+    let roomy = RandomInstanceConfig {
+        photos: 80,
+        subsets: 15,
+        subset_size: (2, 4),
+        required_prob: 0.15,
+        ..Default::default()
+    };
+    let tight = RandomInstanceConfig {
+        required_prob: 0.35,
+        budget_fraction: 0.4,
+        ..roomy.clone()
+    };
+    let mut cases = 0;
+    for seed in [7u64, 8, 10, 11] {
+        for cfg in [&roomy, &tight] {
+            let dense = random_instance(seed, cfg);
+            for inst in [dense.sparsify(0.5), dense.with_unit_sims(), dense] {
+                let bytes = pack_instance(&inst).expect("probe packs");
+                let labels = shard_labels(&inst);
+                let pool = labels.singleton_pool().map(|p| p as u32);
+                let shards = labels.photo_shards();
+                let mut non_pool: Vec<u32> =
+                    shards.iter().copied().filter(|&s| Some(s) != pool).collect();
+                non_pool.sort_unstable();
+                non_pool.dedup();
+                assert!(non_pool.len() >= 3, "seed {seed}: too few shards to merge");
+                let onto_first = |_: u32| non_pool[0];
+                let in_pairs = |s: u32| {
+                    let k = non_pool.binary_search(&s).expect("a non-pool shard");
+                    non_pool[k - k % 2]
+                };
+                let reference = main_algorithm(&inst);
+                let expected =
+                    (reference.best.selected, reference.best.score.to_bits(), reference.best.cost);
+                assert_eq!(serve(&bytes), expected, "seed {seed}: untampered pack");
+                for merge in [&onto_first as &dyn Fn(u32) -> u32, &in_pairs] {
+                    let tampered = tamper(&bytes, kind::LABELS, |b| {
+                        for (p, &s) in shards.iter().enumerate() {
+                            if Some(s) != pool {
+                                put_u32(b, 4 * p, merge(s));
+                            }
+                        }
+                    });
+                    assert_ne!(tampered, bytes);
+                    assert_eq!(serve(&tampered), expected, "seed {seed}: merged labels");
+                    cases += 1;
+                }
             }
         }
-    });
-    assert_ne!(tampered, bytes);
-    assert_eq!(serve(&tampered), serve(&bytes));
+    }
+    assert_eq!(cases, 48);
 }
 
 /// `S₀` is stored sorted and deduplicated; the instance relies on it.
