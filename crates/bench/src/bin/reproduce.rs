@@ -4,11 +4,12 @@
 //! cargo run -p par-bench --release --bin reproduce              # everything, scaled
 //! cargo run -p par-bench --release --bin reproduce -- --full   # paper-sized
 //! cargo run -p par-bench --release --bin reproduce -- --only fig5a,fig5d
-//! cargo run -p par-bench --release --bin reproduce -- --out results
 //! ```
 //!
-//! Each experiment prints an aligned table and writes
-//! `<out>/<figure>.csv` (tidy `figure,x,series,value` rows).
+//! `reproduce --help` prints the synopsis and notes: the text of
+//! `reproduce.usage`, which [`phocus::cli`] also reads as the declaration of
+//! the flags it accepts. A refused command line, or an `--only` id that names
+//! no experiment, exits 2 before anything is written.
 
 use par_bench::{
     ablation_compression, ablation_context, ablation_local_search, ablation_scaling, ablation_tau,
@@ -16,9 +17,13 @@ use par_bench::{
     scenario_insights, scenario_lazy, scenario_preference, table1, table2, to_csv, to_table, Scale,
     Series,
 };
+use phocus::cli::{self, Args, UsageError};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
+
+const USAGE: &str = include_str!("reproduce.usage");
 
 type Runner = fn(Scale) -> Vec<Series>;
 
@@ -105,24 +110,41 @@ fn runners() -> Vec<(&'static str, &'static str, Runner)> {
     ]
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--full") {
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(text) = cli::help(USAGE, &argv) {
+        println!("{text}");
+        return ExitCode::SUCCESS;
+    }
+    match cli::parse(USAGE, &argv).and_then(|args| run(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// Runs the experiments `--only` selects (all by default) at the `--full`
+/// or scaled size, writing their CSVs under `--out`.
+fn run(args: &Args) -> Result<(), UsageError> {
+    let scale = if args.has("--full") {
         Scale::Full
     } else {
         Scale::Scaled
     };
-    let out_dir: PathBuf = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    let only: Option<Vec<String>> = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.split(',').map(|s| s.trim().to_string()).collect());
+    let out_dir = PathBuf::from(args.get("--out").unwrap_or("results"));
+    let runners = runners();
+    let ids: Vec<&str> = runners.iter().map(|r| r.0).collect();
+    let only: Option<Vec<&str>> = args
+        .get("--only")
+        .map(|v| v.split(',').map(str::trim).collect());
+    if let Some(id) = only.iter().flatten().find(|id| !ids.contains(id)) {
+        let ids = ids.join(", ");
+        return Err(UsageError(format!(
+            "unknown --only id `{id}`; the ids are {ids}"
+        )));
+    }
 
     std::fs::create_dir_all(&out_dir).expect("create output directory");
     println!(
@@ -136,11 +158,9 @@ fn main() {
     );
 
     let t_all = Instant::now();
-    for (id, title, runner) in runners() {
-        if let Some(only) = &only {
-            if !only.iter().any(|o| o == id) {
-                continue;
-            }
+    for (id, title, runner) in runners {
+        if only.as_ref().is_some_and(|only| !only.contains(&id)) {
+            continue;
         }
         println!("=== {id}: {title} ===");
         let t = Instant::now();
@@ -160,4 +180,5 @@ fn main() {
         println!("({:.1?})\n", t.elapsed());
     }
     println!("total: {:.1?}", t_all.elapsed());
+    Ok(())
 }

@@ -1,18 +1,15 @@
 //! The PHOcus command-line interface.
 //!
-//! ```text
-//! phocus demo                          # the paper's Figure 1 worked example
-//! phocus table2 [--full]               # Table 2 dataset statistics
-//! phocus solve --dataset p1k --budget-mb 10 [--tau 0.6] [--ns] [--seed 42]
-//! phocus suite --dataset ec-fashion --budget-mb 100 [--seed 42]
-//! phocus serve-batch --list tenants.txt --budget-frac 0.25 [--out-dir sols/]
-//! phocus epochs --dataset p1k --budget-mb 10 --epochs 8 --churn 0.01 [--check]
-//! ```
+//! `phocus --help` prints every command's synopsis and notes, and `phocus
+//! <command> --help` one command's. They are the text of `phocus.usage`,
+//! which [`phocus::cli`] also reads as the declaration of the flags each
+//! command form accepts, so a flag the text does not show is refused.
 //!
 //! Every failure exits with a diagnostic on stderr and a documented nonzero
 //! status — the binary never panics on bad input:
 //!
-//! * `2` — usage error (unknown command/dataset, malformed flag value);
+//! * `2` — usage error (unknown command, dataset or flag; a missing,
+//!   malformed or repeated flag value; a stray argument);
 //! * `3` — invalid input data (parse error, model violation, bad parameter);
 //! * `4` — I/O failure (unreadable dataset file, unwritable output);
 //! * `5` — partial failure (`serve-batch`: one or more tenants failed while
@@ -24,259 +21,122 @@ use par_datasets::{
     generate_ecommerce, generate_openimages, EcConfig, EcDomain, OpenImagesConfig, PublicScale,
     Universe,
 };
+use phocus::cli::{self, Args, UsageError};
 use phocus::{
     fractional_budget, render_report, representation::RepresentationConfig,
     representation::Sparsification, run_suite, ActionLadder, ArchiveSession, Catalog,
     CatalogBuilder, EpochSolve, FleetEngine, FleetEngineConfig, FleetTenant, PackedTenant,
     Parallelism, Phocus, PhocusConfig, PhocusError, SuiteConfig, TenantOutcome,
 };
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 
-/// A CLI failure: either a usage mistake or a typed pipeline error.
-enum CliError {
-    /// Bad invocation — unknown command/dataset or malformed flag value.
-    Usage(String),
-    /// A typed error from the PHOcus pipeline (parse, model, I/O, …).
-    Pipeline(PhocusError),
-    /// A batch run completed but some of its units failed (exit code 5):
-    /// tenants for `serve-batch`, epochs for `epochs`.
-    PartialFailure {
-        /// Units that failed to load, resolve, or solve.
-        failed: usize,
-        /// Units in the run.
-        total: usize,
-        /// What a unit is ("tenants", "epochs") — for the diagnostic line.
-        what: &'static str,
-    },
+/// A CLI failure: the diagnostic line and its documented exit status — `2`
+/// usage, `3` invalid input data, `4` I/O, `5` a batch run that completed
+/// with some of its tenants or epochs failed.
+struct CliError {
+    code: u8,
+    message: String,
+}
+
+impl CliError {
+    fn usage(message: impl Into<String>) -> Self {
+        CliError {
+            code: 2,
+            message: message.into(),
+        }
+    }
+}
+
+impl From<UsageError> for CliError {
+    fn from(e: UsageError) -> Self {
+        CliError::usage(e.0)
+    }
 }
 
 impl From<PhocusError> for CliError {
     fn from(e: PhocusError) -> Self {
-        CliError::Pipeline(e)
-    }
-}
-
-impl CliError {
-    fn usage(msg: impl Into<String>) -> Self {
-        CliError::Usage(msg.into())
-    }
-
-    /// Documented exit codes: 2 usage, 3 invalid data, 4 I/O, 5 partial
-    /// batch failure.
-    fn exit_code(&self) -> ExitCode {
-        match self {
-            CliError::Usage(_) => ExitCode::from(2),
-            CliError::Pipeline(PhocusError::Io { .. }) => ExitCode::from(4),
-            CliError::Pipeline(_) => ExitCode::from(3),
-            CliError::PartialFailure { .. } => ExitCode::from(5),
+        let code = match e {
+            PhocusError::Io { .. } => 4,
+            _ => 3,
+        };
+        CliError {
+            code,
+            message: e.to_string(),
         }
     }
 }
 
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CliError::Usage(msg) => write!(f, "{msg}"),
-            CliError::Pipeline(e) => write!(f, "{e}"),
-            CliError::PartialFailure {
-                failed,
-                total,
-                what,
-            } => {
-                write!(f, "{failed} of {total} {what} failed")
-            }
-        }
-    }
-}
+const USAGE: &str = include_str!("phocus.usage");
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let rest = &args[1..];
-    let result = match cmd.as_str() {
-        "demo" => cmd_demo(),
-        "table2" => cmd_table2(rest),
-        "solve" => with_threads(rest, cmd_solve),
-        "suite" => cmd_suite(rest),
-        "compress" => with_threads(rest, cmd_compress),
-        "export" => cmd_export(rest),
-        "plan" => cmd_plan(rest),
-        "serve-batch" => cmd_serve_batch(rest),
-        "epochs" => cmd_epochs(rest),
-        "pack" => cmd_pack(rest),
-        "catalog" => cmd_catalog(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(CliError::usage(format!("unknown command `{other}`\n{USAGE}"))),
-    };
-    match result {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(text) = cli::help(USAGE, &argv) {
+        println!("{text}");
+        return ExitCode::SUCCESS;
+    }
+    match cli::parse(USAGE, &argv)
+        .map_err(CliError::from)
+        .and_then(|args| run(&args))
+    {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
-            e.exit_code()
+            eprintln!("error: {}", e.message);
+            ExitCode::from(e.code)
         }
     }
 }
 
-const USAGE: &str = "\
-PHOcus — efficiently archiving photos under storage constraints
-
-USAGE:
-  phocus demo
-  phocus table2 [--full] [--seed N]
-  phocus solve --dataset <NAME> --budget-mb <MB> [--tau T] [--ns] [--seed N] [--threads N]
-               [--out FILE]
-  phocus suite --dataset <NAME> --budget-mb <MB> [--tau T] [--seed N]
-  phocus compress --dataset <NAME> --budget-mb <MB> [--seed N] [--threads N]
-               [--ladder SPEC|none|paper] [--frontier N] [--out FILE]
-  phocus export --dataset <NAME> --out <FILE> [--seed N]
-  phocus plan --dataset <NAME> --target <FRACTION> [--tau T] [--ns] [--seed N]
-  phocus serve-batch --list <FILE|-> [--budget-frac F | --budget-mb MB]
-               [--tau T] [--ns] [--threads N] [--out-dir DIR]
-  phocus serve-batch --catalog <DIR> [--threads N] [--out-dir DIR]
-  phocus epochs --dataset <NAME> --budget-mb <MB> [--trace FILE]
-               [--epochs N] [--churn F] [--tau T] [--ns] [--seed N]
-               [--threads N] [--check] [--export-trace FILE]
-  phocus pack --dataset <NAME> --budget-mb <MB> --out <FILE>
-               [--tau T] [--ns] [--seed N]
-  phocus pack --check <FILE>
-  phocus catalog build --list <FILE|-> --out-dir <DIR>
-               [--budget-frac F | --budget-mb MB] [--tau T] [--ns] [--seed N]
-  phocus catalog ls <DIR>
-
-DATASETS: p1k p5k p10k p50k p100k ec-fashion ec-electronics ec-home file:<path>
-  (EC datasets use the scaled-down generator; pass --paper-scale for full size)
-
-SERVE-BATCH: --list names a file with one tenant universe path per line
-  (`-` reads the list from stdin; blank lines and `#` comments are skipped).
-  Each tenant gets --budget-frac of its own archive (default 0.25) unless
-  --budget-mb fixes an absolute budget. One status line per tenant:
-  `ok <name> ...` or `fail <path>: <reason>`. A malformed tenant fails that
-  tenant only; the rest of the batch still solves. --out-dir writes one
-  retained-set TSV per solved tenant.
-
-COMPRESS: multi-action archival — keep, recompress, or delete each photo.
-  --ladder lists renditions as quality:size_fraction pairs (e.g.
-  `0.85:0.35,0.55:0.10`); `none` is the degenerate delete-only ladder
-  (reproduces `solve`'s remove-only model exactly), `paper` is the
-  recompression paper's measured ladder; the default is a built-in
-  two-rung ladder. Both solutions are scored on the ε-free objective,
-  directly comparable. --frontier N solves both at N budgets up to
-  --budget-mb and prints the delete-only vs multi-action frontier; its
-  last row is the headline pair. --out writes the retained actions as a TSV
-  (id, parent, action, cost, name) in selection order; --threads has
-  `solve` semantics (solutions are bit-identical at any count).
-
-PACK / CATALOG: `pack` represents one dataset and writes it as a
-  `phocus-pack` image — a checksummed binary section file that later loads
-  with no text parsing, no representation, and no union-find
-  (`pack --check` verifies an image and prints its shape). `catalog build`
-  packs every tenant of a serve-batch list into --out-dir plus a
-  memory-resident index; `serve-batch --catalog` then serves straight from
-  the packs, skipping the whole cold-start pipeline. `catalog ls` prints
-  the resident index.
-
-EPOCHS: keeps one archive session resident and replays a churn trace —
-  either a `# phocus-trace v1` file (--trace) or one generated on the fly
-  from --epochs rounds at --churn total membership turnover per round
-  (half removals, half arrivals). One status line per
-  epoch: `ok epoch=K ...` or `fail epoch=K: <reason>`. A delta that does
-  not resolve or apply fails that epoch only; the session keeps its warm
-  state and later epochs still solve. --check re-solves every epoch from
-  scratch and verifies the incremental solution is bit-identical.
-  --export-trace writes the (generated) trace for later replay.
-
-EXIT CODES: 0 success, 2 usage error, 3 invalid input data, 4 I/O failure,
-  5 partial failure (serve-batch / epochs: some tenants or epochs failed,
-  the run itself completed)";
-
-fn flag(rest: &[String], name: &str) -> bool {
-    rest.iter().any(|a| a == name)
-}
-
-fn opt(rest: &[String], name: &str) -> Option<String> {
-    rest.iter()
-        .position(|a| a == name)
-        .and_then(|i| rest.get(i + 1).cloned())
-}
-
-fn parse<T: std::str::FromStr>(rest: &[String], name: &str, default: T) -> Result<T, CliError> {
-    match opt(rest, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("invalid value for {name}: {v}"))),
+/// Runs one command with its `--threads` (absent or 0: all cores) installed
+/// for the whole run. `solve` and `serve-batch` pass the same parallelism
+/// to the solver and the fleet engine, which install their own.
+fn run(args: &Args) -> Result<(), CliError> {
+    let parallelism = Parallelism::with_threads(args.parse("--threads", 0)?);
+    parallelism.install_global();
+    match args.command.as_str() {
+        "demo" => cmd_demo(),
+        "table2" => cmd_table2(args),
+        "solve" => cmd_solve(args, parallelism),
+        "suite" => cmd_suite(args),
+        "compress" => cmd_compress(args),
+        "export" => cmd_export(args),
+        "plan" => cmd_plan(args),
+        "serve-batch" => cmd_serve_batch(args, parallelism),
+        "epochs" => cmd_epochs(args),
+        "pack" => cmd_pack(args),
+        "catalog build" => cmd_catalog_build(args),
+        "catalog ls" => cmd_catalog_ls(args),
+        other => unreachable!("phocus.usage declares `{other}`, which has no handler"),
     }
 }
 
-/// Reads `--budget-mb` (megabytes of 10⁶ bytes) as a byte budget. A
-/// negative, NaN or infinite value, or one whose byte count does not fit a
-/// `u64`, is a usage error naming the flag; zero is valid.
-fn budget_bytes(rest: &[String], default_mb: f64) -> Result<u64, CliError> {
-    let mb: f64 = parse(rest, "--budget-mb", default_mb)?;
-    let bytes = mb * 1e6;
-    // `u64::MAX as f64` rounds up to 2⁶⁴, so the half-open range admits
-    // only values the cast below cannot saturate; NaN is in no range.
-    if !(0.0..u64::MAX as f64).contains(&bytes) {
-        return Err(CliError::usage(format!(
-            "--budget-mb must be a finite, non-negative number of megabytes that fits u64 bytes, got {mb}"
-        )));
-    }
-    Ok(bytes as u64)
-}
-
-/// Reads `--tau`, the sparsification threshold. Anything but a finite
-/// number in `[0, 1]` is a usage error naming the flag.
-fn tau_threshold(rest: &[String]) -> Result<f64, CliError> {
-    let tau: f64 = parse(rest, "--tau", 0.6)?;
+/// Reads a fraction flag (`--tau`, `--churn`, `--budget-frac`): anything but
+/// a finite number in `[0, 1]` is a usage error naming the flag.
+fn fraction(args: &Args, flag: &str, default: f64) -> Result<f64, CliError> {
+    let value: f64 = args.parse(flag, default)?;
     // NaN is in no range.
-    if !(0.0..=1.0).contains(&tau) {
+    if !(0.0..=1.0).contains(&value) {
         return Err(CliError::usage(format!(
-            "--tau must be a finite number in [0, 1], got {tau}"
+            "{flag} must be a finite number in [0, 1], got {value}"
         )));
     }
-    Ok(tau)
+    Ok(value)
 }
 
-fn read_file(path: &str) -> Result<String, PhocusError> {
-    std::fs::read_to_string(path).map_err(|e| PhocusError::Io {
+/// Maps a failed file operation on `path` to the pipeline's I/O error.
+fn io_error(path: &str) -> impl FnOnce(std::io::Error) -> PhocusError + '_ {
+    move |e| PhocusError::Io {
         path: path.to_string(),
         message: e.to_string(),
-    })
-}
-
-fn write_file(path: &str, text: &str) -> Result<(), PhocusError> {
-    std::fs::write(path, text).map_err(|e| PhocusError::Io {
-        path: path.to_string(),
-        message: e.to_string(),
-    })
-}
-
-fn read_bytes(path: &str) -> Result<Vec<u8>, PhocusError> {
-    std::fs::read(path).map_err(|e| PhocusError::Io {
-        path: path.to_string(),
-        message: e.to_string(),
-    })
-}
-
-fn write_bytes(path: &str, bytes: &[u8]) -> Result<(), PhocusError> {
-    std::fs::write(path, bytes).map_err(|e| PhocusError::Io {
-        path: path.to_string(),
-        message: e.to_string(),
-    })
+    }
 }
 
 /// The shared `--tau` / `--seed` / `--ns` representation flags, with the
 /// same defaults everywhere (τ = 0.6, seed = 42, LSH recall target 0.95).
-fn repr_from_flags(rest: &[String]) -> Result<RepresentationConfig, CliError> {
-    let tau = tau_threshold(rest)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    Ok(if flag(rest, "--ns") {
+fn repr_from_flags(args: &Args) -> Result<RepresentationConfig, CliError> {
+    let tau = fraction(args, "--tau", 0.6)?;
+    let seed: u64 = args.parse("--seed", 42)?;
+    Ok(if args.has("--ns") {
         RepresentationConfig::phocus_ns()
     } else {
         RepresentationConfig {
@@ -290,21 +150,25 @@ fn repr_from_flags(rest: &[String]) -> Result<RepresentationConfig, CliError> {
     })
 }
 
+/// The tenant budget rule `serve-batch --list` and `catalog build` share:
+/// `--budget-mb` when it is nonzero, else `--budget-frac` (default 0.25) of
+/// each tenant's own archive.
+fn tenant_budget(args: &Args) -> Result<impl Fn(&Universe) -> u64, CliError> {
+    let fixed = cli::budget_bytes(args, 0.0)?;
+    let share = fraction(args, "--budget-frac", 0.25)?;
+    Ok(move |universe: &Universe| match fixed {
+        0 => fractional_budget(universe, share),
+        _ => fixed,
+    })
+}
+
 /// Reads a tenant list: one universe path per line, `-` for stdin; blank
 /// lines and `#` comments are skipped. An empty list is a usage error.
 fn read_tenant_list(list: &str) -> Result<Vec<String>, CliError> {
     let text = if list == "-" {
-        use std::io::Read;
-        let mut s = String::new();
-        std::io::stdin()
-            .read_to_string(&mut s)
-            .map_err(|e| PhocusError::Io {
-                path: "<stdin>".into(),
-                message: e.to_string(),
-            })?;
-        s
+        std::io::read_to_string(std::io::stdin()).map_err(io_error("<stdin>"))?
     } else {
-        read_file(list)?
+        std::fs::read_to_string(list).map_err(io_error(list))?
     };
     let paths: Vec<String> = text
         .lines()
@@ -318,15 +182,18 @@ fn read_tenant_list(list: &str) -> Result<Vec<String>, CliError> {
     Ok(paths)
 }
 
-fn load_dataset(name: &str, seed: u64, paper_scale: bool) -> Result<Universe, CliError> {
+/// Loads `--dataset`, generated from `--seed` (EC datasets at full size
+/// under `--paper-scale`) or read from a `file:` path.
+fn load_dataset(args: &Args) -> Result<Universe, CliError> {
+    let seed: u64 = args.parse("--seed", 42)?;
+    let name = args.required("--dataset");
     if let Some(path) = name.strip_prefix("file:") {
-        let text = read_file(path)?;
-        return par_datasets::from_text(&text)
-            .map_err(|e| CliError::Pipeline(PhocusError::Dataset(e)));
+        let text = std::fs::read_to_string(path).map_err(io_error(path))?;
+        return Ok(par_datasets::from_text(&text).map_err(PhocusError::Dataset)?);
     }
     let scale = |s: PublicScale| generate_openimages(&s.config(seed));
     let ec = |d: EcDomain| {
-        generate_ecommerce(&if paper_scale {
+        generate_ecommerce(&if args.has("--paper-scale") {
             EcConfig::paper(d, seed)
         } else {
             EcConfig::small(d, seed)
@@ -370,9 +237,9 @@ fn cmd_demo() -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_table2(rest: &[String]) -> Result<(), CliError> {
-    let full = flag(rest, "--full");
-    let seed = parse(rest, "--seed", 42u64)?;
+fn cmd_table2(args: &Args) -> Result<(), CliError> {
+    let full = args.has("--full");
+    let seed = args.parse("--seed", 42u64)?;
     let rows = par_datasets::table2_rows(full, seed);
     println!(
         "{:<20} {:>12} {:>12} {:>14} {:>14}",
@@ -390,29 +257,14 @@ fn cmd_table2(rest: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Runs `cmd` with its `--threads` parallelism installed for the whole
-/// command, so every stage of it runs at that thread count.
-fn with_threads(
-    rest: &[String],
-    cmd: fn(&[String]) -> Result<(), CliError>,
-) -> Result<(), CliError> {
-    let threads: usize = parse(rest, "--threads", 0)?;
-    let prev = Parallelism::with_threads(threads).install_global();
-    let result = cmd(rest);
-    prev.install_global();
-    result
-}
-
-fn cmd_solve(rest: &[String]) -> Result<(), CliError> {
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let budget = budget_bytes(rest, 10.0)?;
-    let representation = repr_from_flags(rest)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
+fn cmd_solve(args: &Args, parallelism: Parallelism) -> Result<(), CliError> {
+    let budget = cli::budget_bytes(args, 10.0)?;
+    let representation = repr_from_flags(args)?;
+    let universe = load_dataset(args)?;
     let solver = Phocus::new(PhocusConfig {
         representation: representation.clone(),
-        certify_sparsification: !flag(rest, "--ns"),
-        parallelism: Parallelism::with_threads(parse(rest, "--threads", 0usize)?),
+        certify_sparsification: !args.has("--ns"),
+        parallelism,
         ..Default::default()
     });
     println!(
@@ -428,28 +280,26 @@ fn cmd_solve(rest: &[String]) -> Result<(), CliError> {
     let inst = phocus::represent(&universe, budget, &representation)?;
     let report = solver.solve_instance(&inst, t0.elapsed());
     print!("{}", render_report(&inst, &report));
-    if let Some(out) = opt(rest, "--out") {
+    if let Some(out) = args.get("--out") {
         // One retained photo per line: id, byte cost, name.
         let mut text = String::new();
         for &p in &report.selected {
             let photo = inst.photo(p);
             text.push_str(&format!("{}\t{}\t{}\n", p.0, photo.cost, photo.name));
         }
-        write_file(&out, &text)?;
+        std::fs::write(out, text).map_err(io_error(out))?;
         println!("wrote retained set to {out}");
     }
     Ok(())
 }
 
-fn cmd_compress(rest: &[String]) -> Result<(), CliError> {
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let budget = budget_bytes(rest, 2.0)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let ladder = match opt(rest, "--ladder") {
+fn cmd_compress(args: &Args) -> Result<(), CliError> {
+    let budget = cli::budget_bytes(args, 2.0)?;
+    let ladder = match args.get("--ladder") {
         None => ActionLadder::standard(),
-        Some(spec) => ActionLadder::parse(&spec).map_err(CliError::Pipeline)?,
+        Some(spec) => ActionLadder::parse(spec)?,
     };
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
+    let universe = load_dataset(args)?;
     let cfg = RepresentationConfig::default();
     let rungs: Vec<String> = ladder
         .levels()
@@ -482,15 +332,9 @@ fn cmd_compress(rest: &[String]) -> Result<(), CliError> {
         "retained: {} full-quality photos + {} compressed renditions",
         ma.kept_original, ma.kept_compressed
     );
-    if let Some(points) = opt(rest, "--frontier") {
-        let points: usize = points
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| CliError::usage(format!("invalid value for --frontier: {points}")))?;
-        let budgets: Vec<u64> = (1..=points as u64)
-            .map(|i| (budget * i / points as u64).max(1))
-            .collect();
+    if args.has("--frontier") {
+        let points: u64 = args.parse("--frontier", NonZeroU64::MIN)?.get();
+        let budgets: Vec<u64> = (1..=points).map(|i| (budget * i / points).max(1)).collect();
         let frontier = phocus::multi_action_frontier(&universe, &budgets, &ladder, &cfg)?;
         println!("frontier\tbudget_mb\tdelete_only\tmulti_action");
         for p in &frontier {
@@ -502,7 +346,7 @@ fn cmd_compress(rest: &[String]) -> Result<(), CliError> {
             );
         }
     }
-    if let Some(out) = opt(rest, "--out") {
+    if let Some(out) = args.get("--out") {
         // One retained action per line, in transcript order:
         // id, parent id, action, byte cost, name.
         let mut text = String::new();
@@ -521,18 +365,16 @@ fn cmd_compress(rest: &[String]) -> Result<(), CliError> {
                 photo.name
             ));
         }
-        write_file(&out, &text)?;
+        std::fs::write(out, text).map_err(io_error(out))?;
         println!("wrote retained actions to {out}");
     }
     Ok(())
 }
 
-fn cmd_export(rest: &[String]) -> Result<(), CliError> {
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let out = opt(rest, "--out").ok_or_else(|| CliError::usage("missing --out"))?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
-    write_file(&out, &par_datasets::to_text(&universe))?;
+fn cmd_export(args: &Args) -> Result<(), CliError> {
+    let out = args.required("--out");
+    let universe = load_dataset(args)?;
+    std::fs::write(out, par_datasets::to_text(&universe)).map_err(io_error(out))?;
     println!(
         "wrote {} ({} photos, {} subsets)",
         out,
@@ -542,13 +384,11 @@ fn cmd_export(rest: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_plan(rest: &[String]) -> Result<(), CliError> {
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let target: f64 = parse(rest, "--target", 0.9)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
+fn cmd_plan(args: &Args) -> Result<(), CliError> {
+    let target: f64 = args.parse("--target", 0.9)?;
     // Plan for the representation `solve` serves under the same flags.
-    let representation = repr_from_flags(rest)?;
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
+    let representation = repr_from_flags(args)?;
+    let universe = load_dataset(args)?;
     let tolerance = (universe.total_cost() / 200).max(1);
     let plan = phocus::minimal_budget(&universe, target, &representation, tolerance)?;
     println!(
@@ -571,37 +411,23 @@ fn cmd_plan(rest: &[String]) -> Result<(), CliError> {
 /// `serve-batch`: stream tenant universe files in, solutions out, one status
 /// line and one exit status per tenant. A tenant that fails to load or solve
 /// gets a `fail` line; the batch continues and exits 5 if any tenant failed.
-fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
-    if let Some(dir) = opt(rest, "--catalog") {
-        return serve_batch_catalog(rest, &dir);
+fn cmd_serve_batch(args: &Args, parallelism: Parallelism) -> Result<(), CliError> {
+    if let Some(dir) = args.get("--catalog") {
+        return serve_batch_catalog(args, dir, parallelism);
     }
-    let list = opt(rest, "--list").ok_or_else(|| {
-        CliError::usage("missing --list (file of tenant universe paths, `-` for stdin)")
-    })?;
-    let budget_frac: f64 = parse(rest, "--budget-frac", 0.25)?;
-    let fixed_budget = budget_bytes(rest, 0.0)?;
-    let threads: usize = parse(rest, "--threads", 0)?;
-    if !(0.0..=1.0).contains(&budget_frac) || budget_frac.is_nan() {
-        return Err(CliError::usage(format!(
-            "--budget-frac must be in [0, 1], got {budget_frac}"
-        )));
-    }
-
-    let representation = repr_from_flags(rest)?;
-    let paths = read_tenant_list(&list)?;
+    let budget = tenant_budget(args)?;
+    let representation = repr_from_flags(args)?;
+    let paths = read_tenant_list(args.required("--list"))?;
 
     // Load every tenant up front; a tenant whose file is unreadable or
     // malformed fails *that tenant*, never the batch.
     let loaded: Vec<(String, Result<FleetTenant, PhocusError>)> = paths
         .into_iter()
         .map(|path| {
-            let tenant = read_file(&path).and_then(|text| {
+            let text = std::fs::read_to_string(&path).map_err(io_error(&path));
+            let tenant = text.and_then(|text| {
                 let universe = par_datasets::from_text(&text).map_err(PhocusError::Dataset)?;
-                let budget = if fixed_budget > 0 {
-                    fixed_budget
-                } else {
-                    fractional_budget(&universe, budget_frac)
-                };
+                let budget = budget(&universe);
                 Ok(FleetTenant { universe, budget })
             });
             (path, tenant)
@@ -609,18 +435,17 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
         .collect();
     let engine = FleetEngine::new(FleetEngineConfig {
         representation,
-        parallelism: Parallelism::with_threads(threads),
+        parallelism,
         ..Default::default()
     });
-    serve_and_report(&loaded, opt(rest, "--out-dir"), |t| engine.run(t))
+    serve_and_report(&loaded, args.get("--out-dir"), |t| engine.run(t))
 }
 
 /// `serve-batch --catalog`: the catalog-resident serving path. Tenants come
 /// from pack files — no text parse, no representation, no union-find —
 /// budgets and names from the resident index. Reporting, failure isolation,
 /// and exit codes are the universe-list path's.
-fn serve_batch_catalog(rest: &[String], dir: &str) -> Result<(), CliError> {
-    let threads: usize = parse(rest, "--threads", 0)?;
+fn serve_batch_catalog(args: &Args, dir: &str, parallelism: Parallelism) -> Result<(), CliError> {
     let catalog = Catalog::open(dir)?;
     if catalog.entries().is_empty() {
         return Err(CliError::usage(format!("catalog {dir} has no tenants")));
@@ -640,10 +465,10 @@ fn serve_batch_catalog(rest: &[String], dir: &str) -> Result<(), CliError> {
         })
         .collect();
     let engine = FleetEngine::new(FleetEngineConfig {
-        parallelism: Parallelism::with_threads(threads),
+        parallelism,
         ..Default::default() // the representation is unused on the packed path
     });
-    serve_and_report(&loaded, opt(rest, "--out-dir"), |t| engine.run_packed(t))
+    serve_and_report(&loaded, args.get("--out-dir"), |t| engine.run_packed(t))
 }
 
 /// Serves the tenants of a batch that loaded, through `serve`, and reports
@@ -653,14 +478,11 @@ fn serve_batch_catalog(rest: &[String], dir: &str) -> Result<(), CliError> {
 /// makes the batch a partial failure (exit 5).
 fn serve_and_report<T: Clone>(
     loaded: &[(String, Result<T, PhocusError>)],
-    out_dir: Option<String>,
+    out_dir: Option<&str>,
     serve: impl FnOnce(&[T]) -> Vec<TenantOutcome>,
 ) -> Result<(), CliError> {
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| PhocusError::Io {
-            path: dir.clone(),
-            message: e.to_string(),
-        })?;
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(dir).map_err(io_error(dir))?;
     }
     let solvable: Vec<T> = loaded
         .iter()
@@ -698,7 +520,7 @@ fn serve_and_report<T: Clone>(
                     report.score,
                     outcome.latency.as_secs_f64() * 1e3
                 );
-                if let Some(dir) = &out_dir {
+                if let Some(dir) = out_dir {
                     let file = format!(
                         "{dir}/{i:05}_{}.tsv",
                         outcome.name.replace(['/', '\\'], "_")
@@ -707,7 +529,7 @@ fn serve_and_report<T: Clone>(
                     for &p in &report.selected {
                         text.push_str(&format!("{}\n", p.0));
                     }
-                    write_file(&file, &text)?;
+                    std::fs::write(&file, text).map_err(io_error(&file))?;
                 }
             }
         }
@@ -719,10 +541,9 @@ fn serve_and_report<T: Clone>(
         (total - failed) as f64 / batch_secs.max(1e-9)
     );
     if failed > 0 {
-        return Err(CliError::PartialFailure {
-            failed,
-            total,
-            what: "tenants",
+        return Err(CliError {
+            code: 5,
+            message: format!("{failed} of {total} tenants failed"),
         });
     }
     Ok(())
@@ -731,11 +552,10 @@ fn serve_and_report<T: Clone>(
 /// `pack`: represent one dataset and persist it as a `phocus-pack` image.
 /// `pack --check` loads an existing image — full checksum, bounds, and
 /// cross-section validation — and prints its shape without solving.
-fn cmd_pack(rest: &[String]) -> Result<(), CliError> {
-    if let Some(path) = opt(rest, "--check") {
-        let bytes = read_bytes(&path)?;
-        let packed = par_core::unpack_instance(&bytes)
-            .map_err(|e| CliError::Pipeline(PhocusError::Pack(e)))?;
+fn cmd_pack(args: &Args) -> Result<(), CliError> {
+    if let Some(path) = args.get("--check") {
+        let bytes = std::fs::read(path).map_err(io_error(path))?;
+        let packed = par_core::unpack_instance(&bytes).map_err(PhocusError::Pack)?;
         println!(
             "ok\t{path}\tphotos={}\tsubsets={}\tbudget_mb={:.2}\tshards={}\tbytes={}",
             packed.instance.num_photos(),
@@ -746,15 +566,13 @@ fn cmd_pack(rest: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let out = opt(rest, "--out").ok_or_else(|| CliError::usage("missing --out"))?;
-    let budget = budget_bytes(rest, 10.0)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
-    let representation = repr_from_flags(rest)?;
+    let out = args.required("--out");
+    let budget = cli::budget_bytes(args, 10.0)?;
+    let universe = load_dataset(args)?;
+    let representation = repr_from_flags(args)?;
     let inst = phocus::represent(&universe, budget, &representation)?;
     let bytes = par_core::pack_instance(&inst).map_err(PhocusError::from)?;
-    write_bytes(&out, &bytes)?;
+    std::fs::write(out, &bytes).map_err(io_error(out))?;
     println!(
         "wrote\t{out}\tphotos={}\tsubsets={}\tbytes={}",
         inst.num_photos(),
@@ -764,47 +582,21 @@ fn cmd_pack(rest: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `catalog build | ls`: build a pack catalog from a tenant list, or print
-/// a catalog's resident index.
-fn cmd_catalog(rest: &[String]) -> Result<(), CliError> {
-    match rest.first().map(String::as_str) {
-        Some("build") => cmd_catalog_build(&rest[1..]),
-        Some("ls") => cmd_catalog_ls(&rest[1..]),
-        _ => Err(CliError::usage("catalog needs a subcommand: build | ls")),
-    }
-}
-
 /// `catalog build`: represent and pack every tenant of a serve-batch list
 /// into a catalog directory. Unlike serving, building is strict — any
 /// unreadable or malformed tenant fails the build, because a catalog with
 /// silently missing tenants would serve wrong fleets forever after.
-fn cmd_catalog_build(rest: &[String]) -> Result<(), CliError> {
-    let list = opt(rest, "--list").ok_or_else(|| {
-        CliError::usage("missing --list (file of tenant universe paths, `-` for stdin)")
-    })?;
-    let out_dir =
-        opt(rest, "--out-dir").ok_or_else(|| CliError::usage("missing --out-dir"))?;
-    let budget_frac: f64 = parse(rest, "--budget-frac", 0.25)?;
-    let fixed_budget = budget_bytes(rest, 0.0)?;
-    if !(0.0..=1.0).contains(&budget_frac) || budget_frac.is_nan() {
-        return Err(CliError::usage(format!(
-            "--budget-frac must be in [0, 1], got {budget_frac}"
-        )));
-    }
-    let representation = repr_from_flags(rest)?;
+fn cmd_catalog_build(args: &Args) -> Result<(), CliError> {
+    let out_dir = args.required("--out-dir");
+    let budget = tenant_budget(args)?;
+    let representation = repr_from_flags(args)?;
 
-    let paths = read_tenant_list(&list)?;
-    let mut builder = CatalogBuilder::create(&out_dir)?;
+    let paths = read_tenant_list(args.required("--list"))?;
+    let mut builder = CatalogBuilder::create(out_dir)?;
     for path in &paths {
-        let text = read_file(path)?;
-        let universe = par_datasets::from_text(&text)
-            .map_err(|e| CliError::Pipeline(PhocusError::Dataset(e)))?;
-        let budget = if fixed_budget > 0 {
-            fixed_budget
-        } else {
-            fractional_budget(&universe, budget_frac)
-        };
-        let inst = phocus::represent(&universe, budget, &representation)?;
+        let text = std::fs::read_to_string(path).map_err(io_error(path))?;
+        let universe = par_datasets::from_text(&text).map_err(PhocusError::Dataset)?;
+        let inst = phocus::represent(&universe, budget(&universe), &representation)?;
         let bytes = par_core::pack_instance(&inst).map_err(PhocusError::from)?;
         builder.add_pack(
             &universe.name,
@@ -820,19 +612,14 @@ fn cmd_catalog_build(rest: &[String]) -> Result<(), CliError> {
         );
     }
     let catalog = builder.finish()?;
-    println!(
-        "catalog\t{out_dir}\ttenants={}",
-        catalog.entries().len()
-    );
+    println!("catalog\t{out_dir}\ttenants={}", catalog.entries().len());
     Ok(())
 }
 
 /// `catalog ls`: print the resident index, one line per tenant.
-fn cmd_catalog_ls(rest: &[String]) -> Result<(), CliError> {
-    let dir = rest
-        .first()
-        .ok_or_else(|| CliError::usage("missing catalog directory"))?;
-    let catalog = Catalog::open(dir.as_str())?;
+fn cmd_catalog_ls(args: &Args) -> Result<(), CliError> {
+    let dir = args.required("<DIR>");
+    let catalog = Catalog::open(dir)?;
     for e in catalog.entries() {
         println!(
             "tenant\t{}\t{}\t{:016x}\tphotos={}\tbudget_mb={:.2}\tartifact={}",
@@ -852,29 +639,21 @@ fn cmd_catalog_ls(rest: &[String]) -> Result<(), CliError> {
 /// status line per epoch. A delta that does not resolve or apply fails that
 /// epoch only — the session keeps its instance and warm stream caches — and
 /// the run exits 5 if any epoch failed, mirroring `serve-batch`.
-fn cmd_epochs(rest: &[String]) -> Result<(), CliError> {
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let budget = budget_bytes(rest, 10.0)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let epochs_n: usize = parse(rest, "--epochs", 8)?;
-    let churn: f64 = parse(rest, "--churn", 0.01)?;
-    let threads: usize = parse(rest, "--threads", 0)?;
-    let check = flag(rest, "--check");
-    if !(0.0..=1.0).contains(&churn) || churn.is_nan() {
-        return Err(CliError::usage(format!(
-            "--churn must be in [0, 1], got {churn}"
-        )));
-    }
+fn cmd_epochs(args: &Args) -> Result<(), CliError> {
+    let budget = cli::budget_bytes(args, 10.0)?;
+    let seed: u64 = args.parse("--seed", 42)?;
+    let epochs_n: usize = args.parse("--epochs", 8)?;
+    let churn = fraction(args, "--churn", 0.01)?;
+    let check = args.has("--check");
 
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
-    let representation = repr_from_flags(rest)?;
+    let universe = load_dataset(args)?;
+    let representation = repr_from_flags(args)?;
     let inst = phocus::represent(&universe, budget, &representation)?;
 
-    let trace = match opt(rest, "--trace") {
+    let trace = match args.get("--trace") {
         Some(path) => {
-            let text = read_file(&path)?;
-            par_datasets::trace_from_text(&text)
-                .map_err(|e| CliError::Pipeline(PhocusError::Dataset(e)))?
+            let text = std::fs::read_to_string(path).map_err(io_error(path))?;
+            par_datasets::trace_from_text(&text).map_err(PhocusError::Dataset)?
         }
         None => {
             let n = inst.num_photos() as f64;
@@ -893,27 +672,14 @@ fn cmd_epochs(rest: &[String]) -> Result<(), CliError> {
                     ..Default::default()
                 },
             )
-            .map_err(|e| CliError::Pipeline(PhocusError::Dataset(e)))?
+            .map_err(PhocusError::Dataset)?
         }
     };
-    if let Some(out) = opt(rest, "--export-trace") {
-        write_file(&out, &par_datasets::trace_to_text(&trace))?;
+    if let Some(out) = args.get("--export-trace") {
+        std::fs::write(out, par_datasets::trace_to_text(&trace)).map_err(io_error(out))?;
         println!("wrote trace to {out} ({} epochs)", trace.epochs.len());
     }
 
-    let prev = Parallelism::with_threads(threads).install_global();
-    let result = run_epochs(inst, &trace, check);
-    prev.install_global();
-    result
-}
-
-/// The epoch replay loop behind [`cmd_epochs`], separated so the ambient
-/// thread pool is restored on every exit path.
-fn run_epochs(
-    inst: par_core::Instance,
-    trace: &par_datasets::ChurnTrace,
-    check: bool,
-) -> Result<(), CliError> {
     let mut session = ArchiveSession::new(inst);
     let mut failed = 0usize;
     let total = trace.epochs.len();
@@ -972,21 +738,19 @@ fn run_epochs(
         total + 1 - failed
     );
     if failed > 0 {
-        return Err(CliError::PartialFailure {
-            failed,
-            total: total + 1,
-            what: "epochs",
+        return Err(CliError {
+            code: 5,
+            message: format!("{failed} of {} epochs failed", total + 1),
         });
     }
     Ok(())
 }
 
-fn cmd_suite(rest: &[String]) -> Result<(), CliError> {
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let budget = budget_bytes(rest, 10.0)?;
-    let tau = tau_threshold(rest)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
+fn cmd_suite(args: &Args) -> Result<(), CliError> {
+    let budget = cli::budget_bytes(args, 10.0)?;
+    let tau = fraction(args, "--tau", 0.6)?;
+    let seed: u64 = args.parse("--seed", 42)?;
+    let universe = load_dataset(args)?;
     let cfg = SuiteConfig {
         tau,
         rand_seed: seed,

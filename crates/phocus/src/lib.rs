@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
+pub mod cli;
 pub mod compression;
 pub mod error;
 pub mod fleet;

@@ -56,13 +56,10 @@ impl Algo {
 pub struct SuiteConfig {
     /// Algorithms to run.
     pub algos: Vec<Algo>,
-    /// Sparsification threshold τ for the PHOcus entry.
+    /// Sparsification threshold τ for the PHOcus entry (LSH target recall
+    /// 0.95; every entry otherwise represents with the default
+    /// [`RepresentationConfig`]).
     pub tau: f64,
-    /// LSH target recall for the PHOcus entry.
-    pub lsh_recall: f64,
-    /// Representation choices shared by all entries (contextualization etc.;
-    /// the sparsification field is overridden per entry).
-    pub representation: RepresentationConfig,
     /// Seed for the random baselines.
     pub rand_seed: u64,
     /// Number of RAND trials averaged into the reported quality.
@@ -74,8 +71,6 @@ impl Default for SuiteConfig {
         SuiteConfig {
             algos: Algo::default_set(),
             tau: 0.6,
-            lsh_recall: 0.95,
-            representation: RepresentationConfig::default(),
             rand_seed: 0xBA5E,
             rand_trials: 5,
         }
@@ -134,11 +129,9 @@ fn entry(
 
 /// Runs the configured algorithms on `universe` under `budget`.
 pub fn run_suite(universe: &Universe, budget: u64, cfg: &SuiteConfig) -> Result<SuiteResult> {
-    // Shared true-objective instance: dense contextual.
-    let mut eval_repr = cfg.representation.clone();
-    eval_repr.sparsification = Sparsification::None;
+    // Shared true-objective instance: dense contextual, the default.
     let t_eval = Instant::now();
-    let eval = represent(universe, budget, &eval_repr)?;
+    let eval = represent(universe, budget, &RepresentationConfig::default())?;
     let eval_represent_time = t_eval.elapsed();
 
     let mut entries = Vec::with_capacity(cfg.algos.len());
@@ -156,11 +149,13 @@ pub fn run_suite(universe: &Universe, budget: u64, cfg: &SuiteConfig) -> Result<
                 )
             }
             Algo::Phocus => {
-                let mut repr = cfg.representation.clone();
-                repr.sparsification = Sparsification::Lsh {
-                    tau: cfg.tau,
-                    target_recall: cfg.lsh_recall,
-                    seed: cfg.rand_seed ^ 0x15AAC,
+                let repr = RepresentationConfig {
+                    sparsification: Sparsification::Lsh {
+                        tau: cfg.tau,
+                        target_recall: 0.95,
+                        seed: cfg.rand_seed ^ 0x15AAC,
+                    },
+                    ..Default::default()
                 };
                 let t_r = Instant::now();
                 let inst = represent(universe, budget, &repr)?;
@@ -198,20 +193,17 @@ pub fn run_suite(universe: &Universe, budget: u64, cfg: &SuiteConfig) -> Result<
                 let mut total_quality = 0.0;
                 let mut total_cost = 0u64;
                 let mut total_retained = 0usize;
-                let mut last = Vec::new();
                 for _ in 0..trials {
                     let ids = if algo == Algo::RandA {
                         baselines::rand_a(&eval, &mut rng)
                     } else {
                         baselines::rand_d(&eval, &mut rng)
                     };
-                    let sol = Solution::new_unchecked(&eval, ids.clone());
+                    let sol = Solution::new_unchecked(&eval, ids);
                     total_quality += sol.score();
                     total_cost += sol.cost();
                     total_retained += sol.len();
-                    last = ids;
                 }
-                let _ = last;
                 SuiteEntry {
                     algo,
                     quality: total_quality / trials as f64,

@@ -930,3 +930,225 @@ fn tau_at_either_end_of_zero_one_still_solves() {
         assert!(String::from_utf8_lossy(&out.stdout).contains("retained"));
     }
 }
+
+/// One form per line of `phocus --help`'s synopsis, in its order: a command
+/// line the form accepts, the value flags it declares, and a flag (with its
+/// value) to give twice.
+const FORMS: &[(&str, &[&str], &str)] = &[
+    ("demo", &[], ""),
+    ("table2", &["--seed"], "--full"),
+    (
+        "solve --dataset tiny",
+        &[
+            "--dataset",
+            "--budget-mb",
+            "--tau",
+            "--seed",
+            "--threads",
+            "--out",
+        ],
+        "--ns",
+    ),
+    (
+        "suite --dataset tiny",
+        &["--dataset", "--budget-mb", "--tau", "--seed"],
+        "--paper-scale",
+    ),
+    (
+        "compress --dataset tiny",
+        &[
+            "--dataset",
+            "--budget-mb",
+            "--seed",
+            "--threads",
+            "--ladder",
+            "--frontier",
+            "--out",
+        ],
+        "--paper-scale",
+    ),
+    (
+        "export --dataset tiny --out F",
+        &["--dataset", "--out", "--seed"],
+        "--paper-scale",
+    ),
+    (
+        "plan --dataset tiny",
+        &["--dataset", "--target", "--tau", "--seed"],
+        "--ns",
+    ),
+    (
+        "serve-batch --list L",
+        &[
+            "--list",
+            "--budget-frac",
+            "--budget-mb",
+            "--tau",
+            "--seed",
+            "--threads",
+            "--out-dir",
+        ],
+        "--ns",
+    ),
+    (
+        "serve-batch --catalog D",
+        &["--catalog", "--threads", "--out-dir"],
+        "--catalog D",
+    ),
+    (
+        "epochs --dataset tiny",
+        &[
+            "--dataset",
+            "--budget-mb",
+            "--trace",
+            "--epochs",
+            "--churn",
+            "--tau",
+            "--seed",
+            "--threads",
+            "--export-trace",
+        ],
+        "--check",
+    ),
+    (
+        "pack --dataset tiny --out F",
+        &["--dataset", "--out", "--budget-mb", "--tau", "--seed"],
+        "--ns",
+    ),
+    ("pack --check F", &["--check"], "--check F"),
+    (
+        "catalog build --list L --out-dir D",
+        &[
+            "--list",
+            "--out-dir",
+            "--budget-frac",
+            "--budget-mb",
+            "--tau",
+            "--seed",
+        ],
+        "--ns",
+    ),
+    ("catalog ls D", &[], ""),
+];
+
+/// Every form refuses an undeclared flag, a missing value on each of its
+/// value flags, a repeated flag and a stray positional: exit 2, the token
+/// named on stderr, nothing on stdout.
+#[test]
+fn every_form_refuses_undeclared_missing_repeated_and_stray_arguments() {
+    let help = phocus(&["--help"]);
+    let synopses: Vec<String> = String::from_utf8_lossy(&help.stdout)
+        .lines()
+        .filter_map(|l| l.strip_prefix("  phocus "))
+        .map(String::from)
+        .collect();
+    assert_eq!(synopses.len(), FORMS.len(), "{synopses:?}");
+    for ((base, value_flags, repeat), synopsis) in FORMS.iter().zip(&synopses) {
+        let words: Vec<&str> = base.split(' ').collect();
+        assert!(synopsis.starts_with(words[0]), "{base} vs {synopsis}");
+        let mut cases: Vec<(Vec<&str>, &str)> = vec![
+            ([&words[..], &["--bogus"]].concat(), "--bogus"),
+            ([&words[..], &["stray"]].concat(), "stray"),
+        ];
+        if !repeat.is_empty() {
+            let flag: Vec<&str> = repeat.split(' ').collect();
+            cases.push(([&words[..], &flag, &flag].concat(), flag[0]));
+        }
+        for &flag in value_flags.iter() {
+            // The base line without the flag's own value, then the flag last.
+            let mut line = words.clone();
+            if let Some(i) = line.iter().position(|w| *w == flag) {
+                line.drain(i..i + 2);
+            }
+            line.push(flag);
+            cases.push((line.clone(), flag));
+            // A value flag followed by another flag has no value either.
+            line.extend(["--threads", "1"]);
+            cases.push((line, flag));
+        }
+        for (args, token) in cases {
+            let out = phocus(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains(&format!("`{token}`")), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        }
+    }
+}
+
+/// `phocus <command> --help` prints that command's synopses (its other
+/// form included) and exits 0, even where a required flag is missing.
+#[test]
+fn help_after_a_command_prints_its_forms() {
+    for (args, shown) in [
+        (
+            &["solve", "--help"][..],
+            &["phocus solve --dataset <NAME>"][..],
+        ),
+        (
+            &["serve-batch", "--list", "--help"],
+            &["phocus serve-batch --list", "phocus serve-batch --catalog"],
+        ),
+        (
+            &["catalog", "ls", "--help"],
+            &["phocus catalog build", "phocus catalog ls <DIR>"],
+        ),
+    ] {
+        let out = phocus(args);
+        assert!(out.status.success(), "{args:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        for line in shown {
+            assert!(text.contains(line), "{args:?}: {text}");
+        }
+        assert!(!text.contains("phocus demo"), "{args:?}: {text}");
+    }
+}
+
+/// Every `phocus` command line in the fenced code blocks of the README and
+/// the verify skill names only flags its command's `--help` lists.
+#[test]
+fn documented_command_lines_use_declared_flags() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut checked = 0;
+    for doc in ["README.md", ".claude/skills/verify/SKILL.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        let mut fenced = false;
+        for line in text.lines() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            let line = line.split(" #").next().unwrap();
+            let invocation = ["--bin phocus -- ", "release/phocus "]
+                .iter()
+                .find_map(|marker| line.split_once(marker).map(|(_, rest)| rest));
+            let Some(rest) = invocation.filter(|_| fenced) else {
+                continue;
+            };
+            let words: Vec<&str> = rest.split_whitespace().collect();
+            let command: Vec<&str> = words
+                .iter()
+                .take_while(|w| !w.starts_with('-'))
+                .take(2)
+                .copied()
+                .collect();
+            let help = phocus(&[&command[..], &["--help"]].concat());
+            assert!(help.status.success(), "{doc}: {line}");
+            let help = String::from_utf8_lossy(&help.stdout);
+            let listed: Vec<&str> = help
+                .split_whitespace()
+                .map(|w| w.trim_matches(['[', ']']))
+                .collect();
+            for flag in words.iter().map(|w| w.trim_matches(['[', ']'])) {
+                if flag.starts_with("--") && flag != "--help" {
+                    assert!(listed.contains(&flag), "{doc}: `{flag}` in `{line}`");
+                }
+            }
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 14,
+        "found only {checked} documented command lines"
+    );
+}

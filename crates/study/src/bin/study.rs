@@ -1,41 +1,34 @@
 //! The user-study command-line runner.
 //!
-//! ```text
-//! study domains   [--seed N]                      # Figures 5g/5h rows
-//! study preference [--rounds N] [--seed N]        # the 50-round test
-//! study insights  --domain <fashion|electronics|home> [--budget-mb MB]
-//! ```
+//! `study --help` prints every command's synopsis and notes, and `study
+//! <command> --help` one command's: the text of `study.usage`, which
+//! [`phocus::cli`] also reads as the declaration of the flags each command
+//! accepts. Any failure, a refused command line included, exits 1.
 
 use par_datasets::{generate_ecommerce, EcConfig, EcDomain};
 use par_study::{domain_study, insights, preference_study, ManualAnalyst, PreferenceConfig};
+use phocus::cli::{self, Args};
 use phocus::{represent, RepresentationConfig};
 use std::process::ExitCode;
 
-const USAGE: &str = "\
-study — the PHOcus user-study simulation
+type Result<T = ()> = std::result::Result<T, Box<dyn std::error::Error>>;
 
-USAGE:
-  study domains   [--seed N]
-  study preference [--rounds N] [--seed N]
-  study insights  --domain <fashion|electronics|home> [--budget-mb MB] [--seed N]";
+const USAGE: &str = include_str!("study.usage");
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let rest = &args[1..];
-    let result = match cmd.as_str() {
-        "domains" => cmd_domains(rest),
-        "preference" => cmd_preference(rest),
-        "insights" => cmd_insights(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(text) = cli::help(USAGE, &argv) {
+        println!("{text}");
+        return ExitCode::SUCCESS;
+    }
+    let result = cli::parse(USAGE, &argv)
+        .map_err(Into::into)
+        .and_then(|args| match args.command.as_str() {
+            "domains" => cmd_domains(&args),
+            "preference" => cmd_preference(&args),
+            "insights" => cmd_insights(&args),
+            other => unreachable!("study.usage declares `{other}`, which has no handler"),
+        });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -45,32 +38,8 @@ fn main() -> ExitCode {
     }
 }
 
-fn opt(rest: &[String], name: &str) -> Option<String> {
-    rest.iter()
-        .position(|a| a == name)
-        .and_then(|i| rest.get(i + 1).cloned())
-}
-
-fn parse<T: std::str::FromStr>(rest: &[String], name: &str, default: T) -> Result<T, String> {
-    match opt(rest, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for {name}: {v}")),
-    }
-}
-
-fn domain_of(name: &str) -> Result<EcDomain, String> {
-    match name {
-        "fashion" => Ok(EcDomain::Fashion),
-        "electronics" => Ok(EcDomain::Electronics),
-        "home" => Ok(EcDomain::HomeGarden),
-        other => Err(format!("unknown domain `{other}`")),
-    }
-}
-
-fn cmd_domains(rest: &[String]) -> Result<(), String> {
-    let seed: u64 = parse(rest, "--seed", 42)?;
+fn cmd_domains(args: &Args) -> Result {
+    let seed: u64 = args.parse("--seed", 42)?;
     println!(
         "{:<18} {:>12} {:>12} {:>14} {:>14}",
         "domain", "PHOcus qual", "manual qual", "PHOcus (min)", "manual (min)"
@@ -82,7 +51,7 @@ fn cmd_domains(rest: &[String]) -> Result<(), String> {
     ] {
         let u = generate_ecommerce(&EcConfig::small(domain, seed));
         let budget = u.total_cost() / 10;
-        let row = domain_study(&u, budget, &ManualAnalyst::default()).map_err(|e| e.to_string())?;
+        let row = domain_study(&u, budget, &ManualAnalyst::default())?;
         println!(
             "{:<18} {:>12.1} {:>12.1} {:>14.1} {:>14.1}",
             row.domain,
@@ -95,9 +64,9 @@ fn cmd_domains(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_preference(rest: &[String]) -> Result<(), String> {
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let rounds: usize = parse(rest, "--rounds", 50)?;
+fn cmd_preference(args: &Args) -> Result {
+    let seed: u64 = args.parse("--seed", 42)?;
+    let rounds: usize = args.parse("--rounds", 50)?;
     println!(
         "{:<18} {:>8} {:>12} {:>14}",
         "domain", "PHOcus", "Greedy-NCS", "cannot decide"
@@ -127,14 +96,17 @@ fn cmd_preference(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_insights(rest: &[String]) -> Result<(), String> {
-    let domain = domain_of(&opt(rest, "--domain").ok_or("missing --domain")?)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 5.0)?;
+fn cmd_insights(args: &Args) -> Result {
+    let domain = match args.required("--domain") {
+        "fashion" => EcDomain::Fashion,
+        "electronics" => EcDomain::Electronics,
+        "home" => EcDomain::HomeGarden,
+        other => return Err(format!("unknown domain `{other}`").into()),
+    };
+    let seed: u64 = args.parse("--seed", 42)?;
+    let budget = cli::budget_bytes(args, 5.0)?;
     let u = generate_ecommerce(&EcConfig::small(domain, seed));
-    let budget = (budget_mb * 1e6) as u64;
-    let inst =
-        represent(&u, budget, &RepresentationConfig::default()).map_err(|e| e.to_string())?;
+    let inst = represent(&u, budget, &RepresentationConfig::default())?;
     println!("{}\n", par_core::InstanceStats::compute(&inst).render());
     let solver_sel = par_algo::main_algorithm(&inst).best.selected;
     let manual_sel = ManualAnalyst::default().select(&inst).selected;

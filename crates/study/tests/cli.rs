@@ -50,3 +50,23 @@ fn insights_reports_ratios() {
     assert!(text.contains("value ratio"));
     assert!(text.contains("photos the solver kept"));
 }
+
+#[test]
+fn unknown_flag_is_refused_before_anything_runs() {
+    let out = study(&["preference", "--rounds", "3", "--bogus"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("`--bogus`"));
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn insights_refuses_a_negative_budget() {
+    let out = study(&["insights", "--domain", "fashion", "--budget-mb", "-5"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--budget-mb must be a finite, non-negative"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+}
