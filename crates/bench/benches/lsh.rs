@@ -11,22 +11,27 @@
 //!   transposed planes;
 //! * `candidates` — a per-band `HashMap` index whose colliding pairs are
 //!   sort-deduplicated vs [`LshIndex`]'s sorted runs (build + enumeration);
-//! * `verify` — a fused per-pair cosine vs [`verify_candidates`] (norms and
-//!   f64 coordinates hoisted);
+//! * `enumerate_verify` — per-item stamp-and-sort rows collected into a
+//!   candidate list, then verified pair by pair (norms and f64 coordinates
+//!   hoisted), vs [`verified_pairs`]: bitset rows verified four partners per
+//!   pass as they are enumerated (the index is built outside the timing);
 //! * `from_pairs` — the doubled-list sort-and-dedup CSR build vs the counting
-//!   [`SparseSim::from_pairs`].
+//!   [`SparseSim::from_pairs`];
+//! * `exact` — every context of at most 48 members (the exact path):
+//!   one `dot_term` per pair vs [`ContextKernel::member_rows`] scoring four
+//!   partners per pass.
 //!
 //! The `before` kernels are the previous implementations, kept here verbatim
 //! in behaviour, and every one is asserted bit-identical to its `after`
-//! before anything is timed. `represent/p10k` times the whole
-//! representation of the P-10K slice at the installed default parallelism.
+//! before anything is timed. `represent/p10k/t1` and `/t2` time the whole
+//! representation of the P-10K slice with 1 and 2 installed workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use par_bench::{dataset, DatasetId, Scale};
 use par_core::{SparseSim, SubsetId};
-use par_embed::{ContextVector, Embedding, ImageSpec, SpecEmbedder};
+use par_embed::{ContextKernel, ContextVector, Embedding, ImageSpec, SpecEmbedder};
 use par_exec::Parallelism;
-use par_lsh::{cosine, similar_pairs, verify_candidates, LshIndex, LshPlan, Signature, SimHasher};
+use par_lsh::{cosine, similar_pairs, verified_pairs, LshIndex, LshPlan, Signature, SimHasher};
 use phocus::{represent, RepresentationConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,37 +149,105 @@ fn candidates_sorted_runs(sigs: &[Signature], plan: LshPlan) -> Vec<(u32, u32)> 
     out
 }
 
-/// The exact cosine as one fused loop over coordinates.
-fn cosine_fused(a: &[f32], b: &[f32]) -> f64 {
-    let (mut dot, mut na, mut nb) = (0.0f64, 0.0f64, 0.0f64);
-    for (&x, &y) in a.iter().zip(b) {
-        dot += x as f64 * y as f64;
-        na += x as f64 * x as f64;
-        nb += y as f64 * y as f64;
+/// Per-item stamp-and-sort rows: each band's later mates are stamped to
+/// drop repeats, and the survivors sorted; every pair is collected.
+fn candidates_stamp_and_sort(index: &LshIndex) -> Vec<(u32, u32)> {
+    let n = index.len();
+    let mut stamp = vec![0u32; n];
+    let mut row: Vec<u32> = Vec::with_capacity(n);
+    let mut out = Vec::new();
+    for (a, item) in (0u32..).zip(0..n) {
+        row.clear();
+        for band in 0..index.bands() {
+            for &b in index.later_mates(band, item) {
+                if stamp[b as usize] != a + 1 {
+                    stamp[b as usize] = a + 1;
+                    row.push(b);
+                }
+            }
+        }
+        row.sort_unstable();
+        out.extend(row.iter().map(|&b| (a, b)));
     }
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        (dot / (na.sqrt() * nb.sqrt())).clamp(-1.0, 1.0)
-    }
+    out
 }
 
-fn verify_per_pair(
+/// Verification of a candidate list: coordinates widened to f64 and norms
+/// computed once, then one dot product per candidate, filtered in order.
+fn verify_candidate_list(
     vectors: &[Embedding],
     candidates: &[(u32, u32)],
     tau: f64,
 ) -> Vec<(u32, u32, f64)> {
+    let dim = vectors.first().map_or(0, |v| v.dim());
+    let wide: Vec<f64> = vectors
+        .iter()
+        .flat_map(|v| v.as_slice().iter().map(|&x| x as f64))
+        .collect();
+    let norms: Vec<f64> = vectors
+        .iter()
+        .map(|v| {
+            v.as_slice()
+                .iter()
+                .fold(0.0f64, |sq, &x| sq + x as f64 * x as f64)
+                .sqrt()
+        })
+        .collect();
+    let row = |i: u32| &wide[i as usize * dim..(i as usize + 1) * dim];
     candidates
         .iter()
-        .map(|&(i, j)| {
-            let c = cosine_fused(
-                vectors[i as usize].as_slice(),
-                vectors[j as usize].as_slice(),
-            );
-            (i, j, c)
+        .filter_map(|&(i, j)| {
+            let mut dot = 0.0f64;
+            for (&x, &y) in row(i).iter().zip(row(j)) {
+                dot += x * y;
+            }
+            let (ni, nj) = (norms[i as usize], norms[j as usize]);
+            let c = if ni == 0.0 || nj == 0.0 {
+                0.0
+            } else {
+                (dot / (ni * nj)).clamp(-1.0, 1.0)
+            };
+            (c >= tau).then_some((i, j, c))
         })
-        .filter(|&(_, _, c)| c >= tau)
         .collect()
+}
+
+fn enumerate_verify_before(c: &Context) -> Vec<(u32, u32, f64)> {
+    verify_candidate_list(&c.vectors, &candidates_stamp_and_sort(&c.index), TAU)
+}
+
+/// The exact path's pair loop: one norm term per member, one `dot_term`
+/// per pair.
+fn exact_dot_term(kernel: &ContextKernel, members: &[&Embedding]) -> Vec<(u32, u32, f64)> {
+    let norms: Vec<f64> = members.iter().map(|e| kernel.norm_term(e)).collect();
+    let mut pairs = Vec::new();
+    for i in 0..members.len() {
+        for j in 0..i {
+            let dot = kernel.dot_term(members[i], members[j]);
+            let c = ContextKernel::cosine_from_terms(dot, norms[i], norms[j]);
+            if c >= TAU {
+                pairs.push((j as u32, i as u32, c));
+            }
+        }
+    }
+    pairs
+}
+
+fn exact_member_rows(kernel: &ContextKernel, members: &[&Embedding]) -> Vec<(u32, u32, f64)> {
+    let rows = kernel.member_rows(members.iter().copied());
+    let mut pairs = Vec::new();
+    for i in 0..rows.len() {
+        rows.cosines_below(i, |j, c| {
+            if c >= TAU {
+                pairs.push((j as u32, i as u32, c));
+            }
+        });
+    }
+    pairs
+}
+
+fn bits(pairs: &[(u32, u32, f64)]) -> Vec<(u32, u32, u64)> {
+    pairs.iter().map(|&(i, j, c)| (i, j, c.to_bits())).collect()
 }
 
 /// CSR arenas from the doubled pair list, sorted by (row, col) with
@@ -230,6 +303,7 @@ const CONTEXTS: usize = 4;
 struct Context {
     vectors: Vec<Embedding>,
     signatures: Vec<Signature>,
+    index: LshIndex,
     candidates: Vec<(u32, u32)>,
     pairs: Vec<(u32, u32, f64)>,
 }
@@ -250,11 +324,13 @@ fn largest_contexts(u: &par_datasets::Universe, hasher: &SimHasher) -> Vec<Conte
                 .map(|&p| ctx.contextual_embedding(&u.embeddings[p as usize], blend))
                 .collect();
             let signatures = hasher.sign_batch(&vectors);
+            let index = LshIndex::build(&signatures, PLAN.rows, PLAN.bands);
             let candidates = candidates_sorted_runs(&signatures, PLAN);
-            let pairs = verify_candidates(&vectors, &candidates, TAU);
+            let pairs = verified_pairs(&index, &vectors, TAU);
             Context {
                 vectors,
                 signatures,
+                index,
                 candidates,
                 pairs,
             }
@@ -262,9 +338,35 @@ fn largest_contexts(u: &par_datasets::Universe, hasher: &SimHasher) -> Vec<Conte
         .collect()
 }
 
+/// The exact-path contexts (at most 48 members) of the slice: each
+/// context's kernel and member embeddings.
+fn exact_contexts(u: &par_datasets::Universe) -> Vec<(ContextKernel, Vec<&Embedding>)> {
+    let dim = u.embeddings[0].dim();
+    let blend = RepresentationConfig::default().blend;
+    u.subsets
+        .iter()
+        .filter(|s| s.members.len() <= 48)
+        .map(|s| {
+            let kernel = ContextVector::from_label(dim, &s.label).kernel(blend);
+            (
+                kernel,
+                s.members
+                    .iter()
+                    .map(|&p| &u.embeddings[p as usize])
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
 /// Every `before` kernel reproduces its `after` kernel bit for bit on the
 /// contexts being timed.
-fn assert_bit_identical(ctxs: &[Context], hasher: &SimHasher, planes: &[Vec<f32>]) {
+fn assert_bit_identical(
+    ctxs: &[Context],
+    exact: &[(ContextKernel, Vec<&Embedding>)],
+    hasher: &SimHasher,
+    planes: &[Vec<f32>],
+) {
     for c in ctxs {
         for (v, sig) in c.vectors.iter().zip(&c.signatures) {
             let old = sign_row_major(planes, v.as_slice());
@@ -274,14 +376,17 @@ fn assert_bit_identical(ctxs: &[Context], hasher: &SimHasher, planes: &[Vec<f32>
             assert_eq!(hasher.sign(v.as_slice()), *sig);
         }
         assert_eq!(candidates_hash_index(&c.signatures, PLAN), c.candidates);
-        let old = verify_per_pair(&c.vectors, &c.candidates, TAU);
-        assert_eq!(old.len(), c.pairs.len());
-        for (a, b) in old.iter().zip(&c.pairs) {
-            assert_eq!((a.0, a.1, a.2.to_bits()), (b.0, b.1, b.2.to_bits()));
-        }
+        assert_eq!(candidates_stamp_and_sort(&c.index), c.candidates);
+        assert_eq!(bits(&enumerate_verify_before(c)), bits(&c.pairs));
         let n = c.vectors.len();
         let new = SparseSim::from_pairs(SubsetId(0), n, c.pairs.iter().copied()).unwrap();
         assert_eq!(csr_sort_build(n, &c.pairs), csr_arenas(&new));
+    }
+    for (kernel, members) in exact {
+        assert_eq!(
+            bits(&exact_dot_term(kernel, members)),
+            bits(&exact_member_rows(kernel, members))
+        );
     }
 }
 
@@ -293,12 +398,19 @@ fn bench_representation_kernels(c: &mut Criterion) {
         .map(|b| hasher.plane(b).collect())
         .collect();
     let ctxs = largest_contexts(&u, &hasher);
-    assert_bit_identical(&ctxs, &hasher, &planes);
+    let exact = exact_contexts(&u);
+    assert_bit_identical(&ctxs, &exact, &hasher, &planes);
     let members: usize = ctxs.iter().map(|c| c.vectors.len()).sum();
     let candidates: usize = ctxs.iter().map(|c| c.candidates.len()).sum();
     let kept: usize = ctxs.iter().map(|c| c.pairs.len()).sum();
+    let exact_pairs: usize = exact
+        .iter()
+        .map(|(_, m)| m.len() * m.len().saturating_sub(1) / 2)
+        .sum();
     eprintln!(
-        "lsh_kernels: {CONTEXTS} contexts, {members} members, {candidates} candidates, {kept} pairs >= {TAU}"
+        "lsh_kernels: {CONTEXTS} contexts, {members} members, {candidates} candidates, {kept} pairs >= {TAU}; \
+         exact path: {} contexts, {exact_pairs} pairs",
+        exact.len()
     );
     let rounds = if std::env::var("CRITERION_QUICK").is_ok_and(|v| v != "0") {
         1
@@ -340,17 +452,17 @@ fn bench_representation_kernels(c: &mut Criterion) {
                 }
             })
         });
-        group.bench_function(id("verify", "before"), |b| {
+        group.bench_function(id("enumerate_verify", "before"), |b| {
             b.iter(|| {
                 for c in &ctxs {
-                    std::hint::black_box(verify_per_pair(&c.vectors, &c.candidates, TAU));
+                    std::hint::black_box(enumerate_verify_before(c));
                 }
             })
         });
-        group.bench_function(id("verify", "after"), |b| {
+        group.bench_function(id("enumerate_verify", "after"), |b| {
             b.iter(|| {
                 for c in &ctxs {
-                    std::hint::black_box(verify_candidates(&c.vectors, &c.candidates, TAU));
+                    std::hint::black_box(verified_pairs(&c.index, &c.vectors, TAU));
                 }
             })
         });
@@ -371,21 +483,40 @@ fn bench_representation_kernels(c: &mut Criterion) {
                 }
             })
         });
+        group.bench_function(id("exact", "before"), |b| {
+            b.iter(|| {
+                for (kernel, members) in &exact {
+                    std::hint::black_box(exact_dot_term(kernel, members));
+                }
+            })
+        });
+        group.bench_function(id("exact", "after"), |b| {
+            b.iter(|| {
+                for (kernel, members) in &exact {
+                    std::hint::black_box(exact_member_rows(kernel, members));
+                }
+            })
+        });
     }
     group.finish();
     prev.install_global();
 }
 
-/// The whole representation of the P-10K slice, LSH at τ = 0.6.
+/// The whole representation of the P-10K slice, LSH at τ = 0.6, with 1 and
+/// 2 installed workers.
 fn bench_represent(c: &mut Criterion) {
     let u = dataset(DatasetId::P10K, Scale::Scaled);
     let budget = u.total_cost() / 10;
     let cfg = RepresentationConfig::phocus(TAU);
     let mut group = c.benchmark_group("lsh_represent");
     group.sample_size(10);
-    group.bench_function("represent/p10k", |b| {
-        b.iter(|| std::hint::black_box(represent(&u, budget, &cfg).unwrap().stored_pairs()))
-    });
+    for threads in [1, 2] {
+        let prev = Parallelism::with_threads(threads).install_global();
+        group.bench_function(format!("represent/p10k/t{threads}"), |b| {
+            b.iter(|| std::hint::black_box(represent(&u, budget, &cfg).unwrap().stored_pairs()))
+        });
+        prev.install_global();
+    }
     group.finish();
 }
 

@@ -9,7 +9,9 @@
 //! `reproduce --help` prints the synopsis and notes: the text of
 //! `reproduce.usage`, which [`phocus::cli`] also reads as the declaration of
 //! the flags it accepts. A refused command line, or an `--only` id that names
-//! no experiment, exits 2 before anything is written.
+//! no experiment, exits 2 before anything is written; an output directory or
+//! CSV that cannot be written exits 4 with a diagnostic naming the path, as
+//! `phocus` does for I/O.
 
 use par_bench::{
     ablation_compression, ablation_context, ablation_local_search, ablation_scaling, ablation_tau,
@@ -19,7 +21,7 @@ use par_bench::{
 };
 use phocus::cli::{self, Args, UsageError};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -116,18 +118,45 @@ fn main() -> ExitCode {
         println!("{text}");
         return ExitCode::SUCCESS;
     }
-    match cli::parse(USAGE, &argv).and_then(|args| run(&args)) {
+    match cli::parse(USAGE, &argv)
+        .map_err(Failure::from)
+        .and_then(|args| run(&args))
+    {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
+            eprintln!("error: {}", e.message);
+            ExitCode::from(e.code)
         }
+    }
+}
+
+/// A failed run: the diagnostic line and its exit status — `2` usage, `4`
+/// I/O.
+struct Failure {
+    code: u8,
+    message: String,
+}
+
+impl From<UsageError> for Failure {
+    fn from(e: UsageError) -> Self {
+        Failure {
+            code: 2,
+            message: e.0,
+        }
+    }
+}
+
+/// Maps a failed file operation on `path` to an I/O failure naming it.
+fn io_failure<'a>(what: &'a str, path: &'a Path) -> impl FnOnce(std::io::Error) -> Failure + 'a {
+    move |e| Failure {
+        code: 4,
+        message: format!("cannot {what} {}: {e}", path.display()),
     }
 }
 
 /// Runs the experiments `--only` selects (all by default) at the `--full`
 /// or scaled size, writing their CSVs under `--out`.
-fn run(args: &Args) -> Result<(), UsageError> {
+fn run(args: &Args) -> Result<(), Failure> {
     let scale = if args.has("--full") {
         Scale::Full
     } else {
@@ -141,12 +170,10 @@ fn run(args: &Args) -> Result<(), UsageError> {
         .map(|v| v.split(',').map(str::trim).collect());
     if let Some(id) = only.iter().flatten().find(|id| !ids.contains(id)) {
         let ids = ids.join(", ");
-        return Err(UsageError(format!(
-            "unknown --only id `{id}`; the ids are {ids}"
-        )));
+        return Err(UsageError(format!("unknown --only id `{id}`; the ids are {ids}")).into());
     }
 
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
+    std::fs::create_dir_all(&out_dir).map_err(io_failure("create output directory", &out_dir))?;
     println!(
         "reproducing the paper's evaluation ({} scale) → {}\n",
         if scale == Scale::Full {
@@ -174,7 +201,7 @@ fn run(args: &Args) -> Result<(), UsageError> {
             println!("--- {figure} ---");
             print!("{}", to_table(&rows));
             let path = out_dir.join(format!("{figure}.csv"));
-            std::fs::write(&path, to_csv(&rows)).expect("write csv");
+            std::fs::write(&path, to_csv(&rows)).map_err(io_failure("write", &path))?;
             println!("wrote {}", path.display());
         }
         println!("({:.1?})\n", t.elapsed());

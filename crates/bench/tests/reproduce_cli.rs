@@ -7,6 +7,11 @@ use std::process::{Command, Output};
 fn reproduce(dir: &Path, args: &[&str]) -> Output {
     std::fs::remove_dir_all(dir).ok();
     std::fs::create_dir_all(dir).unwrap();
+    reproduce_in(dir, args)
+}
+
+/// Runs `reproduce` in `dir` as it stands.
+fn reproduce_in(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .args(args)
         .current_dir(dir)
@@ -61,5 +66,43 @@ fn only_table1_writes_the_recorded_csv() {
         std::fs::read(dir.join("csv/table1.csv")).unwrap(),
         std::fs::read(recorded).unwrap()
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_output_directory_that_cannot_be_created_is_an_io_error_naming_it() {
+    let dir = scratch("out_under_file");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("plain"), "not a directory").unwrap();
+    let out = reproduce_in(&dir, &["--only", "table1", "--out", "plain/x"]);
+    assert_eq!(
+        out.status.code(),
+        Some(4),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("plain/x"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_csv_that_cannot_be_written_is_an_io_error_naming_it() {
+    let dir = scratch("csv_is_dir");
+    std::fs::remove_dir_all(&dir).ok();
+    // A directory where table1's CSV should go.
+    std::fs::create_dir_all(dir.join("csv/table1.csv")).unwrap();
+    let out = reproduce_in(&dir, &["--only", "table1", "--out", "csv"]);
+    assert_eq!(
+        out.status.code(),
+        Some(4),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("table1.csv"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

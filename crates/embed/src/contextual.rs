@@ -169,6 +169,117 @@ impl ContextKernel {
             (dot / (na.sqrt() * nb.sqrt())).clamp(-1.0, 1.0)
         }
     }
+
+    /// Prepares one context's members for all-pairs scoring: each member's
+    /// f64 rows `w²·x` and `x`, and its [`norm_term`](Self::norm_term). A
+    /// [`dot_term`](Self::dot_term) then costs one multiply-add per
+    /// dimension, and [`MemberRows::cosines_below`] runs four of them per
+    /// pass.
+    pub fn member_rows<'a>(&self, members: impl IntoIterator<Item = &'a Embedding>) -> MemberRows {
+        let dim = self.w2.len();
+        let members = members.into_iter();
+        let n = members.size_hint().0;
+        let mut rows = MemberRows {
+            dim,
+            weighted: Vec::with_capacity(n * dim),
+            plain: Vec::with_capacity(n * dim),
+            norms: Vec::with_capacity(n),
+        };
+        for e in members {
+            let x = &e.as_slice()[..dim];
+            rows.weighted
+                .extend(self.w2.iter().zip(x).map(|(&w2, &x)| w2 * x as f64));
+            rows.plain.extend(x.iter().map(|&x| x as f64));
+            rows.norms.push(self.norm_term(e));
+        }
+        rows
+    }
+}
+
+/// One context's members prepared by [`ContextKernel::member_rows`].
+///
+/// `dot_term(a, b)` sums `(w²·x)·y` over dimensions in order. The left
+/// factor `w²·x` depends only on `a` and the right factor `y` only on `b`,
+/// so both are computed once per member, and each pair adds the same
+/// products in the same order: the dot product is bit-identical.
+#[derive(Debug, Clone)]
+pub struct MemberRows {
+    dim: usize,
+    /// `w²·x` per member, member-major: the left factor of a dot term.
+    weighted: Vec<f64>,
+    /// `x` widened to f64 per member: the right factor of a dot term.
+    plain: Vec<f64>,
+    /// The members' norm terms.
+    norms: Vec<f64>,
+}
+
+impl MemberRows {
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.norms.len()
+    }
+
+    /// Whether there are no members.
+    pub fn is_empty(&self) -> bool {
+        self.norms.is_empty()
+    }
+
+    fn weighted(&self, i: usize) -> &[f64] {
+        &self.weighted[i * self.dim..(i + 1) * self.dim]
+    }
+
+    fn plain(&self, j: usize) -> &[f64] {
+        &self.plain[j * self.dim..(j + 1) * self.dim]
+    }
+
+    /// Calls `f(j, cosine)` for every member `j < i`, in ascending `j`,
+    /// where `cosine` is bit-identical to
+    /// `cosine_from_terms(dot_term(a_i, a_j), norm_term(a_i), norm_term(a_j))`.
+    ///
+    /// Four partners share each pass over member `i`'s row, with four
+    /// independent accumulators, each summing its dimensions in order.
+    // phocus-lint: hot-kernel — scores every pair of every exact-path context
+    pub fn cosines_below(&self, i: usize, mut f: impl FnMut(usize, f64)) {
+        let left = self.weighted(i);
+        let ni = self.norms[i];
+        let mut j = 0;
+        while j + 4 <= i {
+            let right = [
+                self.plain(j),
+                self.plain(j + 1),
+                self.plain(j + 2),
+                self.plain(j + 3),
+            ];
+            for (k, dot) in dot4(left, right).into_iter().enumerate() {
+                f(
+                    j + k,
+                    ContextKernel::cosine_from_terms(dot, ni, self.norms[j + k]),
+                );
+            }
+            j += 4;
+        }
+        for j in j..i {
+            let dot = left
+                .iter()
+                .zip(self.plain(j))
+                .fold(0.0, |dot, (&l, &r)| dot + l * r);
+            f(j, ContextKernel::cosine_from_terms(dot, ni, self.norms[j]));
+        }
+    }
+}
+
+/// Four dot products of one left row with four right rows, each summed in
+/// dimension order in its own accumulator.
+fn dot4(left: &[f64], [r0, r1, r2, r3]: [&[f64]; 4]) -> [f64; 4] {
+    let mut dots = [0.0f64; 4];
+    let right = r0.iter().zip(r1).zip(r2).zip(r3);
+    for (&l, (((&a, &b), &c), &d)) in left.iter().zip(right) {
+        dots[0] += l * a;
+        dots[1] += l * b;
+        dots[2] += l * c;
+        dots[3] += l * d;
+    }
+    dots
 }
 
 /// The contextualized similarity provider used by PHOcus.
@@ -481,6 +592,62 @@ mod tests {
                     assert_eq!(direct.to_bits(), fast.to_bits(), "pair ({i},{j})");
                 }
             }
+        }
+    }
+
+    /// The exact path's pair loop that [`MemberRows::cosines_below`]
+    /// replaced: one `dot_term` per pair over the embeddings.
+    fn dot_term_pairs(kernel: &ContextKernel, members: &[Embedding]) -> Vec<(usize, usize, u64)> {
+        let norms: Vec<f64> = members.iter().map(|e| kernel.norm_term(e)).collect();
+        let mut out = Vec::new();
+        for i in 0..members.len() {
+            for j in 0..i {
+                let dot = kernel.dot_term(&members[i], &members[j]);
+                let c = ContextKernel::cosine_from_terms(dot, norms[i], norms[j]);
+                out.push((i, j, c.to_bits()));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn member_rows_match_the_dot_term_pair_loop_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x4_0D07);
+        for case in 0..200u64 {
+            let dim = rng.gen_range(1..70usize);
+            let n = rng.gen_range(0..50usize);
+            // Zero coordinates and all-zero members exercise the norm guard;
+            // wide magnitudes make the summation order observable.
+            let members: Vec<Embedding> = (0..n)
+                .map(|k| {
+                    Embedding::new(
+                        (0..dim)
+                            .map(|_| match rng.gen_range(0..6u32) {
+                                _ if k % 11 == 5 => 0.0,
+                                0 => 0.0,
+                                1 => rng.gen::<f32>() * 1e-18,
+                                2 => rng.gen::<f32>() * 1e12,
+                                _ => rng.gen::<f32>() - 0.4,
+                            })
+                            .collect(),
+                    )
+                })
+                .collect();
+            let ctx = ContextVector::from_seed(dim, case);
+            let kernel = ctx.kernel([0.0f32, 0.3, 1.0][case as usize % 3]);
+            let rows = kernel.member_rows(&members);
+            assert_eq!(rows.len(), n);
+            let mut got = Vec::new();
+            for i in 0..n {
+                rows.cosines_below(i, |j, c| got.push((i, j, c.to_bits())));
+            }
+            assert_eq!(
+                got,
+                dot_term_pairs(&kernel, &members),
+                "case {case}: dim {dim}, n {n}"
+            );
         }
     }
 

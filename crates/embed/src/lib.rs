@@ -36,7 +36,8 @@ pub mod image;
 pub mod quality;
 
 pub use contextual::{
-    ContextKernel, ContextVector, ContextualSimilarity, NonContextualSimilarity, PreparedContext,
+    ContextKernel, ContextVector, ContextualSimilarity, MemberRows, NonContextualSimilarity,
+    PreparedContext,
 };
 pub use embedding::{Embedding, FeatureEmbedder, SpecEmbedder};
 pub use exif::ExifData;

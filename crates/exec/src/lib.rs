@@ -1,9 +1,10 @@
 //! # par-exec — deterministic data-parallel kernels for the PHOcus workspace
 //!
-//! The paper's hot loops — CELF gain seeding, eager per-round argmaxes,
-//! SimHash signing, banded bucketing, and ≥τ candidate-pair verification —
-//! are all *embarrassingly parallel over an indexed collection*. This crate
-//! provides the primitives they need: an order-preserving parallel map
+//! The paper's hot loops — tenants of a fleet, per-context similarity
+//! stores, CELF gain seeding, eager per-round argmaxes, SimHash signing and
+//! banded bucketing — are all *embarrassingly parallel over an indexed
+//! collection*. This crate provides the primitives they need: an
+//! order-preserving parallel map
 //! ([`par_map_indexed`] / [`par_map_slice`]), a dynamically scheduled
 //! variant for heterogeneous work ([`par_map_dynamic`]), a two-task
 //! fork/join ([`join`]) for two independent runs over shared read-only
@@ -12,9 +13,20 @@
 //! Kernels run on a **persistent worker pool** (the vendored `scoped-pool`
 //! shim): workers are spawned once per process and parked on a condvar, so
 //! the millions of small kernel invocations a fleet run makes pay two mutex
-//! operations per dispatch instead of a thread spawn + join. A kernel called
-//! *from* a pool worker (nested parallelism) falls back to the serial path —
-//! bit-identical by construction — so workers never block on pool capacity.
+//! operations per dispatch instead of a thread spawn + join.
+//!
+//! ## Nesting
+//!
+//! A `par_map_*` fan-out owns every core it was given: its items run on
+//! pool workers *and* on the caller, which works through its own chunk
+//! (or claims) inline. A kernel called from inside a fan-out — from a pool
+//! worker, or from the caller's own share — is *nested* and takes the
+//! serial path, bit-identical by construction. So workers never block on
+//! pool capacity, and the outer fan-out's items each keep one core: the
+//! fleet engine serves one tenant per core, and `represent` builds one
+//! context store per core. [`join`] follows the same rule when called
+//! from inside a fan-out, but does not mark its own caller: `a` runs with
+//! the installed parallelism, so a fan-out inside `a` still spreads.
 //!
 //! ## Determinism contract
 //!
@@ -39,6 +51,7 @@
 
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -126,8 +139,7 @@ fn pool() -> &'static scoped_pool::Pool {
     POOL.get_or_init(|| scoped_pool::Pool::new(available_threads().max(2)))
 }
 
-/// Whether the current thread is a pool worker. Kernels check this and take
-/// the serial path when nested, so workers never block on pool capacity.
+/// Whether the current thread is a pool worker.
 fn on_worker_thread() -> bool {
     #[cfg(feature = "parallel")]
     {
@@ -136,6 +148,41 @@ fn on_worker_thread() -> bool {
     #[cfg(not(feature = "parallel"))]
     {
         false
+    }
+}
+
+thread_local! {
+    /// Set while this thread runs its own share of a `par_map_*` fan-out.
+    static IN_CALLER_SHARE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether a kernel called here is nested inside a fan-out: on a pool
+/// worker, or on a caller working through its own share. Kernels check this
+/// and take the serial path, so workers never block on pool capacity and
+/// each item of the outer fan-out keeps one core.
+fn nested() -> bool {
+    on_worker_thread() || IN_CALLER_SHARE.with(Cell::get)
+}
+
+/// Marks the current thread as running its share of a fan-out until
+/// dropped, unwinding included. Only a caller that is not nested fans out,
+/// so the flag is always clear on entry.
+#[cfg(feature = "parallel")]
+struct CallerShare;
+
+#[cfg(feature = "parallel")]
+impl CallerShare {
+    fn enter() -> CallerShare {
+        let was_nested = IN_CALLER_SHARE.with(|flag| flag.replace(true));
+        debug_assert!(!was_nested, "a nested caller never fans out");
+        CallerShare
+    }
+}
+
+#[cfg(feature = "parallel")]
+impl Drop for CallerShare {
+    fn drop(&mut self) {
+        IN_CALLER_SHARE.with(|flag| flag.set(false));
     }
 }
 
@@ -152,7 +199,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let workers = resolve_threads(None).min(len.max(1));
-    if !parallel_enabled() || workers <= 1 || len < 2 || on_worker_thread() {
+    if !parallel_enabled() || workers <= 1 || len < 2 || nested() {
         return (0..len).map(f).collect();
     }
     parallel_fill(workers, len, &f)
@@ -201,7 +248,7 @@ where
     F: Fn(&mut S, usize) -> T + Sync,
 {
     let workers = resolve_threads(None).min(len.max(1));
-    if !parallel_enabled() || workers <= 1 || len < 2 || on_worker_thread() {
+    if !parallel_enabled() || workers <= 1 || len < 2 || nested() {
         let mut state = make_state();
         return (0..len).map(|i| f(&mut state, i)).collect();
     }
@@ -212,10 +259,12 @@ where
 /// order: `a` on the caller, `b` on a parked pool worker.
 ///
 /// Both run serially — `a`, then `b` — when the installed thread count is
-/// 1, when the `parallel` feature is off, or when `join` is called from a
-/// pool worker: the same fallback rule the `par_map_*` kernels follow.
-/// Neither closure may observe the other (they share only what both
-/// borrow immutably), so the results are the same on either path.
+/// 1, when the `parallel` feature is off, or when `join` is nested inside a
+/// fan-out (on a pool worker or in the caller's share of a `par_map_*`):
+/// the same fallback rule the `par_map_*` kernels follow. Unlike those,
+/// `join` does not mark its caller as nested, so a kernel inside `a` still
+/// fans out. Neither closure may observe the other (they share only what
+/// both borrow immutably), so the results are the same on either path.
 ///
 /// A panic in either closure reaches the caller only after both have
 /// finished; if both panic, `a`'s payload wins. On the serial path a panic
@@ -227,7 +276,7 @@ where
     RB: Send,
 {
     #[cfg(feature = "parallel")]
-    if resolve_threads(None) > 1 && !on_worker_thread() {
+    if resolve_threads(None) > 1 && !nested() {
         let mut rb = None;
         let ra = pool().scoped(|scope| {
             scope.execute(|| rb = Some(b()));
@@ -242,7 +291,7 @@ where
 /// Cursor-driven work pull: `workers - 1` pool tasks plus the caller each
 /// claim items with an atomic fetch-add and accumulate `(index, value)`
 /// locally; the merged pairs are sorted by index so the output order is
-/// independent of scheduling.
+/// independent of scheduling. The caller's claims run nested.
 // phocus-lint: hot-kernel — dispatch loop under every par_map_dynamic fan-out
 #[cfg(feature = "parallel")]
 fn parallel_dynamic<S, T, M, F>(workers: usize, len: usize, make_state: &M, f: &F) -> Vec<T>
@@ -275,6 +324,7 @@ where
         for _ in 1..workers {
             scope.execute(|| run(len / workers + 1));
         }
+        let _share = CallerShare::enter();
         run(len / workers + 1);
     });
     let mut pairs = collected.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -303,7 +353,7 @@ where
 /// persistent worker pool. The chunk-assignment arithmetic (`len / workers`
 /// rounded up, chunk `w` starting at `w * chunk`) is the determinism-visible
 /// part and is identical to the original scoped-thread implementation; the
-/// caller runs chunk 0 inline while workers fill the rest.
+/// caller runs chunk 0 inline, nested, while workers fill the rest.
 #[cfg(feature = "parallel")]
 fn parallel_fill<T, F>(workers: usize, len: usize, f: &F) -> Vec<T>
 where
@@ -321,6 +371,7 @@ where
             scope.execute(move || fill_chunk(slot_chunk, start, f));
         }
         if let Some((_, slot_chunk)) = first {
+            let _share = CallerShare::enter();
             fill_chunk(slot_chunk, 0, f);
         }
     });
@@ -543,7 +594,7 @@ mod tests {
     fn join_runs_serially_on_a_pool_worker() {
         let out = with_installed(Parallelism::with_threads(2), || {
             par_map_indexed(4, |i| {
-                let nested = on_worker_thread();
+                let nested = nested();
                 let (a, b) = join(|| (i, here()), here);
                 (nested, here(), a, b)
             })
@@ -557,6 +608,63 @@ mod tests {
         if parallel_enabled() {
             assert!(out.iter().any(|o| o.0), "some items ran on a pool worker");
         }
+    }
+
+    /// Every thread a nested kernel ran on, one entry per item.
+    fn inner_threads() -> Vec<ThreadId> {
+        par_map_indexed(8, |_| {
+            thread::sleep(Duration::from_millis(1));
+            here()
+        })
+    }
+
+    #[test]
+    fn kernels_in_the_callers_share_of_a_fan_out_stay_on_the_caller() {
+        with_installed(Parallelism::with_threads(2), || {
+            let caller = here();
+            // `par_map_indexed`: the caller runs chunk 0 inline.
+            let out = par_map_indexed(4, |_| (here(), inner_threads()));
+            assert_eq!(out[0].0, caller, "chunk 0 runs on the caller");
+            for (me, inner) in &out {
+                assert!(inner.iter().all(|t| t == me), "a nested kernel fanned out");
+            }
+            // `par_map_dynamic`: whatever the caller claims runs nested too.
+            let out = par_map_dynamic(6, || (), |(), _| (here(), inner_threads()));
+            for (me, inner) in &out {
+                assert!(inner.iter().all(|t| t == me), "a nested kernel fanned out");
+            }
+            assert!(!nested(), "the flag is cleared once the fan-out returns");
+
+            // A panic in the caller's share clears the flag on its way out.
+            // The caller claims items as soon as it has dispatched the
+            // workers, so it claims some of the dynamic fan-out's items.
+            for dynamic in [false, true] {
+                let hit = catch_unwind(AssertUnwindSafe(|| {
+                    let boom = |i: usize| {
+                        if here() == caller {
+                            panic!("caller boom")
+                        }
+                        i
+                    };
+                    if dynamic {
+                        par_map_dynamic(1 << 12, || (), |(), i| boom(i))
+                    } else {
+                        par_map_indexed(4, boom)
+                    }
+                }));
+                assert!(hit.is_err(), "the panic reaches the caller");
+                assert!(!nested(), "dynamic={dynamic}: the flag survived a panic");
+            }
+
+            // `join` does not mark its caller: a kernel inside `a` fans out.
+            let (in_a, _) = join(inner_threads, || ());
+            if parallel_enabled() {
+                assert!(
+                    in_a.iter().any(|&t| t != caller),
+                    "`a` kept its parallelism"
+                );
+            }
+        });
     }
 
     #[test]

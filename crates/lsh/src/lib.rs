@@ -14,7 +14,8 @@
 //!   recall at threshold `τ`;
 //! * [`similar_pairs`] — the end-to-end convenience pipeline: plan → hash →
 //!   bucket → verify with exact cosine; [`similar_pairs_with_plan`] runs the
-//!   same pipeline with a caller's plan and hasher.
+//!   same pipeline with a caller's plan and hasher, and [`verified_pairs`]
+//!   its last stage over a built index.
 
 #![forbid(unsafe_code)]
 
@@ -67,9 +68,10 @@ pub fn similar_pairs(
 /// many vector sets. The hasher needs at least `plan.total_bits()` bits and
 /// the vectors' dimensionality.
 ///
-/// Sign → band → candidates → [`verify_candidates`]: candidate pairs arrive
-/// in ascending `(i, j)` order and are filtered in that order, so the output
-/// is identical at every thread count.
+/// Sign → band → [`verified_pairs`]: pairs come out in ascending `(i, j)`
+/// order, and no candidate list is built. Signing and banding use the
+/// installed parallelism; the row walk is serial, so the output does not
+/// depend on the thread count.
 pub fn similar_pairs_with_plan(
     vectors: &[impl AsRef<[f32]> + Sync],
     tau: f64,
@@ -81,48 +83,105 @@ pub fn similar_pairs_with_plan(
     }
     let signatures = hasher.sign_batch(vectors);
     let index = LshIndex::build(&signatures, plan.rows, plan.bands);
-    let mut candidates: Vec<(u32, u32)> = Vec::new();
-    index.for_candidate_pairs(|i, j| candidates.push((i, j)));
-    verify_candidates(vectors, &candidates, tau)
+    verified_pairs(&index, vectors, tau)
 }
 
-/// Verifies candidate pairs with the exact cosine, keeping `(i, j, cosine)`
-/// for each pair with `cosine ≥ tau`, in candidate order.
+/// Every candidate pair of `index` whose exact cosine over `vectors` (the
+/// vectors `index` was built from) is at least `tau`, as `(i, j, cosine)` in
+/// ascending `(i, j)` order.
 ///
-/// Every coordinate is widened to f64 and every vector's norm computed once,
-/// so a pair pays only its dot product's multiply-adds. Each cosine is
-/// bit-identical to [`cosine`] on its pair: the same f64 operations in the
-/// same order. Pairs are verified in parallel and filtered serially, so the
-/// output does not depend on the thread count.
-pub fn verify_candidates(
-    vectors: &[impl AsRef<[f32]> + Sync],
-    candidates: &[(u32, u32)],
+/// Each item's candidate row is verified as the index enumerates it, so no
+/// candidate list is built. Every cosine is bit-identical to [`cosine`] on
+/// its pair.
+pub fn verified_pairs(
+    index: &LshIndex,
+    vectors: &[impl AsRef<[f32]>],
     tau: f64,
 ) -> Vec<(u32, u32, f64)> {
-    let dim = vectors.first().map_or(0, |v| v.as_ref().len());
-    assert!(
-        vectors.iter().all(|v| v.as_ref().len() == dim),
-        "vector dimensionality mismatch"
-    );
-    let wide: Vec<f64> = vectors
-        .iter()
-        .flat_map(|v| v.as_ref().iter().map(|&x| x as f64))
-        .collect();
-    let norms: Vec<f64> = vectors.iter().map(|v| simhash::norm(v.as_ref())).collect();
-    let row = |i: u32| &wide[i as usize * dim..(i as usize + 1) * dim];
-    let cosines = par_exec::par_map_slice(candidates, |&(i, j)| {
-        let mut dot = 0.0f64;
-        for (&x, &y) in row(i).iter().zip(row(j)) {
-            dot += x * y;
+    assert_eq!(index.len(), vectors.len(), "the index covers the vectors");
+    let widened = Widened::new(vectors);
+    let mut pairs = Vec::new();
+    index.for_candidate_rows(|a, row| widened.verify_row(a, row, tau, &mut pairs));
+    pairs
+}
+
+/// A vector set prepared for exact verification: every coordinate widened
+/// to f64 and every vector's norm computed once, so a pair pays only its dot
+/// product's multiply-adds.
+struct Widened {
+    dim: usize,
+    /// The coordinates as f64, vector-major.
+    wide: Vec<f64>,
+    norms: Vec<f64>,
+}
+
+impl Widened {
+    fn new(vectors: &[impl AsRef<[f32]>]) -> Widened {
+        let dim = vectors.first().map_or(0, |v| v.as_ref().len());
+        assert!(
+            vectors.iter().all(|v| v.as_ref().len() == dim),
+            "vector dimensionality mismatch"
+        );
+        Widened {
+            dim,
+            wide: vectors
+                .iter()
+                .flat_map(|v| v.as_ref().iter().map(|&x| x as f64))
+                .collect(),
+            norms: vectors.iter().map(|v| simhash::norm(v.as_ref())).collect(),
         }
-        simhash::cosine_from_parts(dot, norms[i as usize], norms[j as usize])
-    });
-    candidates
-        .iter()
-        .zip(cosines)
-        .filter(|&(_, c)| c >= tau)
-        .map(|(&(i, j), c)| (i, j, c))
-        .collect()
+    }
+
+    fn row(&self, i: u32) -> &[f64] {
+        &self.wide[i as usize * self.dim..(i as usize + 1) * self.dim]
+    }
+
+    /// Appends `(a, b, cosine)` for each partner `b` (in `partners` order)
+    /// whose exact cosine with `a` is at least `tau`.
+    ///
+    /// Four partners share each pass over `a`'s row, with four independent
+    /// accumulators, each summing its coordinates in order: every cosine is
+    /// bit-identical to [`cosine`] on its pair, the same f64 operations in
+    /// the same order.
+    // phocus-lint: hot-kernel — verifies every candidate pair of every LSH context
+    fn verify_row(&self, a: u32, partners: &[u32], tau: f64, out: &mut Vec<(u32, u32, f64)>) {
+        let left = self.row(a);
+        let na = self.norms[a as usize];
+        let mut keep = |b: u32, dot: f64| {
+            let c = simhash::cosine_from_parts(dot, na, self.norms[b as usize]);
+            if c >= tau {
+                out.push((a, b, c));
+            }
+        };
+        let mut blocks = partners.chunks_exact(4);
+        for block in &mut blocks {
+            let [b0, b1, b2, b3] = [block[0], block[1], block[2], block[3]];
+            let right = self
+                .row(b0)
+                .iter()
+                .zip(self.row(b1))
+                .zip(self.row(b2))
+                .zip(self.row(b3));
+            let mut dots = [0.0f64; 4];
+            for (&x, (((&y0, &y1), &y2), &y3)) in left.iter().zip(right) {
+                dots[0] += x * y0;
+                dots[1] += x * y1;
+                dots[2] += x * y2;
+                dots[3] += x * y3;
+            }
+            for (b, dot) in [b0, b1, b2, b3].into_iter().zip(dots) {
+                keep(b, dot);
+            }
+        }
+        for &b in blocks.remainder() {
+            keep(
+                b,
+                left.iter()
+                    .zip(self.row(b))
+                    .fold(0.0, |dot, (&x, &y)| dot + x * y),
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -154,43 +213,135 @@ mod tests {
         assert!(pairs.iter().all(|&(i, j, _)| i / 5 == j / 5));
     }
 
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The candidate-list verification the fused row walk replaced: every
+    /// candidate's cosine from widened coordinates and hoisted norms, in
+    /// parallel, filtered serially in candidate order.
+    fn verify_candidates(
+        vectors: &[Vec<f32>],
+        candidates: &[(u32, u32)],
+        tau: f64,
+    ) -> Vec<(u32, u32, f64)> {
+        let dim = vectors.first().map_or(0, |v| v.len());
+        let wide: Vec<f64> = vectors.iter().flatten().map(|&x| x as f64).collect();
+        let norms: Vec<f64> = vectors.iter().map(|v| simhash::norm(v)).collect();
+        let row = |i: u32| &wide[i as usize * dim..(i as usize + 1) * dim];
+        let cosines = par_exec::par_map_slice(candidates, |&(i, j)| {
+            let mut dot = 0.0f64;
+            for (&x, &y) in row(i).iter().zip(row(j)) {
+                dot += x * y;
+            }
+            simhash::cosine_from_parts(dot, norms[i as usize], norms[j as usize])
+        });
+        candidates
+            .iter()
+            .zip(cosines)
+            .filter(|&(_, c)| c >= tau)
+            .map(|(&(i, j), c)| (i, j, c))
+            .collect()
+    }
+
+    /// The pipeline before the fused walk: sign, band, collect every
+    /// candidate pair, then verify the list.
+    fn reference_similar_pairs(
+        vectors: &[Vec<f32>],
+        tau: f64,
+        plan: LshPlan,
+        hasher: &SimHasher,
+    ) -> Vec<(u32, u32, f64)> {
+        let index = LshIndex::build(&hasher.sign_batch(vectors), plan.rows, plan.bands);
+        let mut candidates = Vec::new();
+        index.for_candidate_pairs(|i, j| candidates.push((i, j)));
+        verify_candidates(vectors, &candidates, tau)
+    }
+
+    /// Vectors with zero members, tiny and huge coordinates, and clusters
+    /// that collide in many bands.
+    fn random_vectors(rng: &mut StdRng, n: usize, dim: usize) -> Vec<Vec<f32>> {
+        let protos: Vec<Vec<f32>> = (0..3)
+            .map(|_| (0..dim).map(|_| rng.gen::<f32>() - 0.4).collect())
+            .collect();
+        (0..n)
+            .map(|i| {
+                let proto = &protos[rng.gen_range(0..protos.len())];
+                (0..dim)
+                    .map(|d| match rng.gen_range(0..8u32) {
+                        _ if i % 13 == 3 => 0.0,
+                        0 => rng.gen::<f32>() * 1e-20,
+                        1 => rng.gen::<f32>() * 1e15,
+                        2 => rng.gen::<f32>() - 0.5,
+                        _ => proto[d] + 0.05 * (rng.gen::<f32>() - 0.5),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn bits(pairs: &[(u32, u32, f64)]) -> Vec<(u32, u32, u64)> {
+        pairs.iter().map(|&(i, j, c)| (i, j, c.to_bits())).collect()
+    }
+
     #[test]
     fn verify_matches_per_pair_cosine_bit_for_bit() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        // Rows of every length mod 4 through the four-wide verifier, against
+        // the per-pair cosine and the candidate-list verification.
         let mut rng = StdRng::seed_from_u64(0x7E51F);
         for _ in 0..40 {
             let dim = rng.gen_range(1..40usize);
             let n = rng.gen_range(2..50usize);
-            let vectors: Vec<Vec<f32>> = (0..n)
+            let vectors = random_vectors(&mut rng, n, dim);
+            let widened = Widened::new(&vectors);
+            let rows: Vec<Vec<u32>> = (0..n as u32)
                 .map(|i| {
-                    (0..dim)
-                        .map(|_| {
-                            if i % 7 == 3 {
-                                0.0
-                            } else {
-                                rng.gen::<f32>() - 0.4
-                            }
-                        })
+                    (i + 1..n as u32)
+                        .filter(|_| rng.gen_range(0..3u32) > 0)
                         .collect()
                 })
                 .collect();
-            let mut candidates: Vec<(u32, u32)> = (0..n as u32)
-                .flat_map(|i| (i + 1..n as u32).map(move |j| (i, j)))
-                .filter(|_| rng.gen_range(0..3u32) > 0)
+            let candidates: Vec<(u32, u32)> = (0u32..)
+                .zip(&rows)
+                .flat_map(|(i, row)| row.iter().map(move |&j| (i, j)))
                 .collect();
-            candidates.truncate(rng.gen_range(0..=candidates.len()));
             for tau in [-1.0, 0.0, 0.3] {
                 let expected: Vec<(u32, u32, f64)> = candidates
                     .iter()
                     .map(|&(i, j)| (i, j, cosine(&vectors[i as usize], &vectors[j as usize])))
                     .filter(|&(_, _, c)| c >= tau)
                     .collect();
-                let got = verify_candidates(&vectors, &candidates, tau);
-                assert_eq!(got.len(), expected.len());
-                for (g, e) in got.iter().zip(&expected) {
-                    assert_eq!((g.0, g.1, g.2.to_bits()), (e.0, e.1, e.2.to_bits()));
+                let mut got = Vec::new();
+                for (a, row) in (0u32..).zip(&rows) {
+                    widened.verify_row(a, row, tau, &mut got);
                 }
+                assert_eq!(bits(&got), bits(&expected));
+                assert_eq!(
+                    bits(&verify_candidates(&vectors, &candidates, tau)),
+                    bits(&expected)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_row_walk_matches_the_candidate_list_pipeline_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0xF05ED);
+        for case in 0..120u64 {
+            let dim = rng.gen_range(1..70usize);
+            let n = rng.gen_range(0..300usize);
+            let vectors = random_vectors(&mut rng, n, dim);
+            // Narrow bands make long candidate rows (every remainder of 4).
+            let plan = LshPlan {
+                rows: rng.gen_range(1..10usize),
+                bands: rng.gen_range(1..12usize),
+            };
+            let hasher = SimHasher::new(dim, plan.total_bits(), case);
+            for tau in [-1.0, 0.0, 0.6, 0.95] {
+                assert_eq!(
+                    bits(&similar_pairs_with_plan(&vectors, tau, plan, &hasher)),
+                    bits(&reference_similar_pairs(&vectors, tau, plan, &hasher)),
+                    "case {case}: n {n}, dim {dim}, {plan:?}, tau {tau}"
+                );
             }
         }
     }

@@ -113,39 +113,65 @@ impl LshIndex {
         self.num_items == 0
     }
 
-    /// Calls `f(i, j)` (with `i < j`) once for every candidate pair, in
-    /// ascending `(i, j)` order.
+    /// Number of bands.
+    pub fn bands(&self) -> usize {
+        self.bands.len()
+    }
+
+    /// The bucket-mates of `item` in band `band` that have larger indices,
+    /// in ascending order: the rest of the run `item` belongs to.
+    pub fn later_mates(&self, band: usize, item: usize) -> &[u32] {
+        let band = &self.bands[band];
+        let (from, end) = band.later[item];
+        &band.order[from as usize..end as usize]
+    }
+
+    /// Calls `f(a, row)` for every item `a` in ascending order, where `row`
+    /// holds `a`'s candidate partners — its bucket-mates with larger
+    /// indices in any band — once each, in ascending order.
     ///
-    /// For each item `a`, every band contributes the members of `a`'s run
-    /// that come after `a` — exactly its bucket-mates with larger indices. A
-    /// per-item stamp drops the partners several bands share, and sorting the
-    /// few survivors gives `a`'s row in ascending order. No pair list over
-    /// all bands is ever materialized.
+    /// Every band's later mates of `a` set their bits in one bitset row; the
+    /// row is then read back word by word from `a`'s own word up to the
+    /// highest mate, which clears it for the next item. No per-band
+    /// deduplication, no sort, and no pair list over all bands.
     // phocus-lint: hot-kernel — enumerates every colliding pair of every LSH context
-    pub fn for_candidate_pairs(&self, mut f: impl FnMut(u32, u32)) {
+    pub fn for_candidate_rows(&self, mut f: impl FnMut(u32, &[u32])) {
         let n = self.num_items;
-        // phocus-lint: allow(alloc-hot) — the one scratch buffer: per-item stamps, then the row being collected
-        let mut scratch = vec![0u32; 2 * n];
-        let (stamp, row) = scratch.split_at_mut(n);
+        // phocus-lint: allow(alloc-hot) — the one bitset row, cleared as it is read back
+        let mut marks = vec![0u64; n.div_ceil(64)];
+        // phocus-lint: allow(alloc-hot) — the one row buffer, at most n partners
+        let mut row: Vec<u32> = Vec::with_capacity(n);
         for (a, item) in (0u32..).zip(0..n) {
-            // Stamps hold `a + 1` (≤ n ≤ u32::MAX), so zero marks no item.
-            let mut len = 0;
-            for band in &self.bands {
-                let (from, end) = band.later[item];
-                for &b in &band.order[from as usize..end as usize] {
-                    if stamp[b as usize] != a + 1 {
-                        stamp[b as usize] = a + 1;
-                        row[len] = b;
-                        len += 1;
+            let mut highest = None;
+            for band in 0..self.bands.len() {
+                let mates = self.later_mates(band, item);
+                for &b in mates {
+                    marks[b as usize / 64] |= 1 << (b % 64);
+                }
+                // A run is in ascending index order: its last mate is its largest.
+                highest = highest.max(mates.last().copied());
+            }
+            row.clear();
+            if let Some(highest) = highest {
+                let first = item / 64;
+                for (w, word) in (first..).zip(&mut marks[first..=highest as usize / 64]) {
+                    let mut bits = std::mem::take(word);
+                    while bits != 0 {
+                        // phocus-lint: allow(cast-bounds) — w·64 + bit is a marked item index < n ≤ u32::MAX
+                        row.push((w * 64) as u32 + bits.trailing_zeros());
+                        bits &= bits - 1;
                     }
                 }
             }
-            let partners = &mut row[..len];
-            partners.sort_unstable();
-            for &b in partners.iter() {
-                f(a, b);
-            }
+            f(a, &row);
         }
+    }
+
+    /// Calls `f(i, j)` (with `i < j`) once for every candidate pair, in
+    /// ascending `(i, j)` order: [`for_candidate_rows`](Self::for_candidate_rows)
+    /// one partner at a time.
+    pub fn for_candidate_pairs(&self, mut f: impl FnMut(u32, u32)) {
+        self.for_candidate_rows(|a, row| row.iter().for_each(|&b| f(a, b)));
     }
 
     /// The largest bucket size across all bands — a skew diagnostic: huge
@@ -321,6 +347,60 @@ mod reference {
         let mut out = Vec::new();
         index.for_candidate_pairs(|i, j| out.push((i, j)));
         out
+    }
+
+    /// The per-item stamp and sort enumeration the bitset rows replaced:
+    /// each band's later mates are stamped to drop repeats, and the
+    /// survivors sorted.
+    fn stamp_and_sort_rows(index: &LshIndex) -> Vec<Vec<u32>> {
+        let n = index.len();
+        let mut stamp = vec![0u32; n];
+        (0u32..)
+            .zip(0..n)
+            .map(|(a, item)| {
+                let mut row = Vec::new();
+                for band in 0..index.bands() {
+                    for &b in index.later_mates(band, item) {
+                        if stamp[b as usize] != a + 1 {
+                            stamp[b as usize] = a + 1;
+                            row.push(b);
+                        }
+                    }
+                }
+                row.sort_unstable();
+                row
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bitset_rows_match_stamp_and_sort_rows() {
+        let mut rng = StdRng::seed_from_u64(0xB175E7);
+        for case in 0..300 {
+            let rows = 1 + case % 20;
+            let bands = rng.gen_range(1..8usize);
+            let len = rows * bands + rng.gen_range(0..40usize);
+            // Sizes around word boundaries, and some with many items.
+            let n = match case % 4 {
+                0 => rng.gen_range(0..6usize),
+                1 => 64 * rng.gen_range(1..4usize) + rng.gen_range(0..3usize) - 1,
+                _ => rng.gen_range(0..400usize),
+            };
+            let sigs = colliding_signatures(&mut rng, n, len);
+            let index = LshIndex::build(&sigs, rows, bands);
+            let mut got = Vec::new();
+            let mut next = 0u32;
+            index.for_candidate_rows(|a, row| {
+                assert_eq!(a, next, "rows come in item order");
+                next += 1;
+                got.push(row.to_vec());
+            });
+            assert_eq!(
+                got,
+                stamp_and_sort_rows(&index),
+                "rows {rows} bands {bands} n {n}"
+            );
+        }
     }
 
     #[test]

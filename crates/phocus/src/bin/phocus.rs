@@ -386,6 +386,11 @@ fn cmd_export(args: &Args) -> Result<(), CliError> {
 
 fn cmd_plan(args: &Args) -> Result<(), CliError> {
     let target: f64 = args.parse("--target", 0.9)?;
+    if target.is_nan() || target <= 0.0 || target > 1.0 {
+        return Err(CliError::usage(format!(
+            "--target must be a number in (0, 1], got {target}"
+        )));
+    }
     // Plan for the representation `solve` serves under the same flags.
     let representation = repr_from_flags(args)?;
     let universe = load_dataset(args)?;

@@ -49,6 +49,10 @@ pub enum PhocusError {
     },
     /// The budget-planner quality target is outside `(0, 1]` (or NaN).
     InvalidTarget(f64),
+    /// A representation's sparsification threshold `τ` is outside `[0, 1]`
+    /// (or NaN): similarities live in `[0, 1]`, so no other value is a
+    /// threshold on them.
+    InvalidTau(f64),
     /// A compression [`ActionLadder`](crate::ActionLadder) level is unusable:
     /// a `size_fraction`/`quality` outside `(0, 1)` (or non-finite), or a
     /// `--ladder` spec entry that does not parse as `quality:size_fraction`.
@@ -83,6 +87,9 @@ impl fmt::Display for PhocusError {
             }
             PhocusError::InvalidTarget(t) => {
                 write!(f, "quality target {t} is not in (0, 1]")
+            }
+            PhocusError::InvalidTau(t) => {
+                write!(f, "sparsification threshold τ = {t} is not in [0, 1]")
             }
             PhocusError::InvalidLadder { level, message } => {
                 write!(f, "ladder level {level}: {message}")

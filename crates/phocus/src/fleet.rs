@@ -25,7 +25,8 @@
 //!   idle workers — the classical LPT heuristic. Outcomes are returned in
 //!   *input* order regardless of the schedule, and each outcome is a pure
 //!   function of its tenant, so the batch result is independent of worker
-//!   count and dispatch order.
+//!   count and dispatch order. Each tenant keeps one core: the kernels under
+//!   it run nested, serially, on a pool worker and on the caller alike.
 //!
 //! Failures are per-tenant: a tenant whose representation fails (e.g. its
 //! required set alone exceeds its budget) yields an `Err` outcome while the

@@ -21,7 +21,7 @@ use par_core::{
 #[cfg(test)]
 use par_core::SimilarityProvider;
 use par_datasets::Universe;
-use par_embed::{ContextVector, ContextualSimilarity, NonContextualSimilarity};
+use par_embed::{ContextVector, ContextualSimilarity, MemberRows, NonContextualSimilarity};
 
 /// Sparsification mode of the representation (Section 4.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -205,58 +205,63 @@ fn dense_store_contextual(
     )
 }
 
+/// Contexts of at most this many members skip LSH: comparing every pair
+/// exactly is cheaper below it.
+const EXACT_CUTOFF: usize = 48;
+
 /// Runs the Data Representation Module: turns a universe plus budget and
 /// representation choices into a validated, solvable instance.
 ///
-/// Returns a [`PhocusError`] wrapping the failing layer: a model violation
-/// from instance building, an LSH planning failure when the sparsification
-/// threshold or recall target is not a valid parameter, or
+/// Every context's store depends on that context alone, so the stores are
+/// built in one fan-out over contexts, largest first, one context per core,
+/// and the instance is the same at every thread count.
+///
+/// Returns a [`PhocusError`] wrapping the failing layer: a sparsification
+/// threshold that is NaN or outside `[0, 1]`
+/// ([`PhocusError::InvalidTau`], raised before any store is built), a model
+/// violation from instance building, an LSH planning failure when the
+/// recall target is not a valid parameter, or
 /// [`PhocusError::UnsupportedWithLsh`] when LSH is asked to mix EXIF or
 /// normalize per context, which it cannot do.
 pub fn represent(universe: &Universe, budget: u64, cfg: &RepresentationConfig) -> Result<Instance> {
+    if let Sparsification::Threshold { tau } | Sparsification::Lsh { tau, .. } = cfg.sparsification
+    {
+        // NaN is in no range.
+        if !(0.0..=1.0).contains(&tau) {
+            return Err(PhocusError::InvalidTau(tau));
+        }
+    }
     let builder = builder_from_universe(universe, budget);
-    match cfg.sparsification {
+    let subsets = reconstruct_subsets(universe);
+    let normalize = cfg.normalize_per_context;
+    let sims = match cfg.sparsification {
         Sparsification::None => {
             let provider = contextual_provider(universe, cfg);
-            let subsets = reconstruct_subsets(universe);
-            let normalize = cfg.normalize_per_context;
-            let sims = subsets
-                .iter()
-                .map(|q| {
-                    Ok(ContextSim::Dense(dense_store_contextual(
-                        q, &provider, normalize,
-                    )?))
-                })
-                .collect::<par_core::Result<Vec<_>>>()?;
-            Ok(builder.build_with_sims(sims)?)
+            build_stores(&subsets, |q| {
+                Ok(ContextSim::Dense(dense_store_contextual(
+                    q, &provider, normalize,
+                )?))
+            })?
         }
         Sparsification::Threshold { tau } => {
             let provider = contextual_provider(universe, cfg);
-            let subsets = reconstruct_subsets(universe);
-            let normalize = cfg.normalize_per_context;
-            let sims = subsets
-                .iter()
-                .map(|q| {
-                    let dense = dense_store_contextual(q, &provider, normalize)?;
-                    Ok(ContextSim::Sparse(dense.sparsify(tau)))
-                })
-                .collect::<par_core::Result<Vec<_>>>()?;
-            Ok(builder.build_with_sims(sims)?)
+            build_stores(&subsets, |q| {
+                let dense = dense_store_contextual(q, &provider, normalize)?;
+                Ok(ContextSim::Sparse(dense.sparsify(tau)))
+            })?
         }
         Sparsification::Lsh {
             tau,
             target_recall,
             seed,
         } => {
-            if cfg.normalize_per_context {
+            if normalize {
                 return Err(PhocusError::UnsupportedWithLsh { field: "normalize_per_context" });
             }
             if cfg.exif_weight > 0.0 && universe.exif.is_some() {
                 return Err(PhocusError::UnsupportedWithLsh { field: "exif_weight" });
             }
             let contexts = context_vectors(universe);
-            let subsets = reconstruct_subsets(universe);
-
             // Per-context LSH over *contextual* embeddings ("a different
             // embedding of the same photo for different predefined
             // subsets"): each large subset gets its own small banded index,
@@ -264,9 +269,8 @@ pub fn represent(universe: &Universe, budget: u64, cfg: &RepresentationConfig) -
             // baseline collision noise of a single global index (which
             // scales with n² across ALL photos) never arises. The random
             // hyperplanes are shared across contexts — only the signatures
-            // differ. Small contexts skip LSH entirely: exhaustive
-            // comparison is cheaper below the cutoff.
-            const EXACT_CUTOFF: usize = 48;
+            // differ.
+            //
             // A capped engineering plan: the strict planner would demand
             // 1000+ bits at moderate thresholds; 9×20 = 180 bits catches
             // virtually all high-similarity pairs (≥99% at cos 0.85) and
@@ -280,63 +284,69 @@ pub fn represent(universe: &Universe, budget: u64, cfg: &RepresentationConfig) -
                 par_lsh::LshPlan { rows: 9, bands: 20 }
             };
             let dim = universe.embeddings.first().map(|e| e.dim()).unwrap_or(1);
-            // The hyperplanes are drawn on first use: a universe whose
-            // contexts are all below the cutoff never pays for them.
-            let hasher = std::cell::OnceCell::new();
-
-            let sims = subsets
+            // A universe whose contexts are all below the cutoff never pays
+            // for the hyperplanes.
+            let hasher = subsets
                 .iter()
-                .map(|q| {
-                    let qi = q.id.index();
-                    let ctx = &contexts[qi];
-                    let n = q.members.len();
-                    let mut pairs: Vec<(u32, u32, f64)> = Vec::new();
-                    if n <= EXACT_CUTOFF {
-                        // Hoisted-invariant exact comparison: squared weights and
-                        // per-member norms once, dot per pair — bit-identical to
-                        // `contextual_cosine` on each pair.
-                        let kernel = ctx.kernel(cfg.blend);
-                        let norms: Vec<f64> = q
-                            .members
-                            .iter()
-                            .map(|&p| kernel.norm_term(&universe.embeddings[p.index()]))
+                .any(|q| q.members.len() > EXACT_CUTOFF)
+                .then(|| par_lsh::SimHasher::new(dim, plan.total_bits(), seed));
+            build_stores(&subsets, |q| {
+                let ctx = &contexts[q.id.index()];
+                let members = q.members.iter().map(|&p| &universe.embeddings[p.index()]);
+                let pairs = match &hasher {
+                    Some(hasher) if q.members.len() > EXACT_CUTOFF => {
+                        let vectors: Vec<par_embed::Embedding> = members
+                            .map(|e| ctx.contextual_embedding(e, cfg.blend))
                             .collect();
-                        for i in 0..n {
-                            for j in 0..i {
-                                let dot = kernel.dot_term(
-                                    &universe.embeddings[q.members[i].index()],
-                                    &universe.embeddings[q.members[j].index()],
-                                );
-                                let c = par_embed::ContextKernel::cosine_from_terms(
-                                    dot, norms[i], norms[j],
-                                );
-                                if c >= tau {
-                                    pairs.push((j as u32, i as u32, c));
-                                }
-                            }
-                        }
-                    } else {
-                        let vectors: Vec<par_embed::Embedding> = q
-                            .members
-                            .iter()
-                            .map(|&p| {
-                                ctx.contextual_embedding(&universe.embeddings[p.index()], cfg.blend)
-                            })
-                            .collect();
-                        // Subsets run one at a time; the sign, band and
-                        // verify kernels inside a context use the installed
-                        // parallelism, and every store is bit-identical to a
-                        // serial build.
-                        let hasher = hasher
-                            .get_or_init(|| par_lsh::SimHasher::new(dim, plan.total_bits(), seed));
-                        pairs = par_lsh::similar_pairs_with_plan(&vectors, tau, plan, hasher);
+                        par_lsh::similar_pairs_with_plan(&vectors, tau, plan, hasher)
                     }
-                    Ok(ContextSim::Sparse(SparseSim::from_pairs(q.id, n, pairs)?))
-                })
-                .collect::<par_core::Result<Vec<_>>>()?;
-            Ok(builder.build_with_sims(sims)?)
+                    _ => exact_pairs(&ctx.kernel(cfg.blend).member_rows(members), tau),
+                };
+                Ok(ContextSim::Sparse(SparseSim::from_pairs(
+                    q.id,
+                    q.members.len(),
+                    pairs,
+                )?))
+            })?
         }
+    };
+    Ok(builder.build_with_sims(sims)?)
+}
+
+/// Every pair `(j, i, cosine)` with `j < i` and `cosine ≥ tau`, in
+/// ascending `(i, j)` order: the exact path of a context below the LSH
+/// cutoff, bit-identical to `contextual_cosine` on each pair.
+fn exact_pairs(rows: &MemberRows, tau: f64) -> Vec<(u32, u32, f64)> {
+    let mut pairs = Vec::new();
+    for i in 0..rows.len() {
+        rows.cosines_below(i, |j, c| {
+            if c >= tau {
+                // phocus-lint: allow(cast-bounds) — j < i < |q|, and subset sizes fit u32
+                pairs.push((j as u32, i as u32, c));
+            }
+        });
     }
+    pairs
+}
+
+/// Builds every subset's store in one [`par_exec::par_map_dynamic`] fan-out
+/// over contexts, largest first, and places each store at its own subset
+/// index. Each store is a function of its subset alone, so the result
+/// equals a serial build at every thread count; the kernels inside a store
+/// run nested, one context per core. When stores fail, the error of the
+/// lowest failing subset index is returned, whichever finished first.
+fn build_stores(
+    subsets: &[Subset],
+    store: impl Fn(&Subset) -> par_core::Result<ContextSim> + Sync,
+) -> par_core::Result<Vec<ContextSim>> {
+    let mut order: Vec<usize> = (0..subsets.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(subsets[i].members.len()));
+    let mut built = par_exec::par_map_dynamic(order.len(), || (), |(), k| {
+        let i = order[k];
+        (i, store(&subsets[i]))
+    });
+    built.sort_unstable_by_key(|&(i, _)| i);
+    built.into_iter().map(|(_, store)| store).collect()
 }
 
 /// Rebuilds `Subset` values (ids, labels, members) from the universe, used
@@ -578,6 +588,49 @@ mod tests {
         }
     }
 
+    /// A threshold that is NaN or outside `[0, 1]` is a typed parameter
+    /// error for both sparsifying modes, raised before any store is built:
+    /// not an empty representation, and not a bad similarity blamed on the
+    /// data.
+    #[test]
+    fn sparsification_tau_outside_the_unit_interval_is_refused() {
+        let u = small_universe(8);
+        let budget = u.total_cost() / 3;
+        for tau in [
+            f64::NAN,
+            -0.5,
+            -f64::EPSILON,
+            1.0 + f64::EPSILON,
+            1.5,
+            f64::INFINITY,
+        ] {
+            for sparsification in [
+                Sparsification::Threshold { tau },
+                Sparsification::Lsh {
+                    tau,
+                    target_recall: 0.95,
+                    seed: 7,
+                },
+            ] {
+                let cfg = RepresentationConfig {
+                    sparsification,
+                    ..Default::default()
+                };
+                match represent(&u, budget, &cfg) {
+                    Err(PhocusError::InvalidTau(t)) => {
+                        assert_eq!(t.to_bits(), tau.to_bits(), "{sparsification:?}")
+                    }
+                    other => panic!("{sparsification:?}: {:?}", other.map(|i| i.stored_pairs())),
+                }
+            }
+        }
+        // The interval's ends are thresholds.
+        for tau in [0.0, 1.0] {
+            let cfg = RepresentationConfig::phocus(tau);
+            assert!(represent(&u, budget, &cfg).is_ok(), "tau {tau}");
+        }
+    }
+
     #[test]
     fn budget_must_cover_required() {
         let mut u = small_universe(6);
@@ -596,7 +649,8 @@ mod parallel_tests {
     fn parallel_build_matches_serial() {
         // Every sparsification mode, LSH included (with contexts above the
         // exact-comparison cutoff), must build the same CSR arenas and dense
-        // triangles under an installed serial and two-worker parallelism.
+        // triangles under an installed serial, two- and eight-worker
+        // parallelism.
         let u = generate_openimages(&OpenImagesConfig {
             name: "par".into(),
             photos: 400,
@@ -605,7 +659,7 @@ mod parallel_tests {
             ..Default::default()
         });
         assert!(
-            u.subsets.iter().any(|s| s.members.len() > 48),
+            u.subsets.iter().any(|s| s.members.len() > EXACT_CUTOFF),
             "needs an LSH context"
         );
         let budget = u.total_cost() / 4;
@@ -618,10 +672,9 @@ mod parallel_tests {
                     sparsification,
                     ..Default::default()
                 },
-            )
-            .unwrap();
+            );
             previous.install_global();
-            inst
+            inst.unwrap()
         };
         for sparsification in [
             Sparsification::None,
@@ -633,16 +686,75 @@ mod parallel_tests {
             },
         ] {
             let serial = build(sparsification, 1);
-            let parallel = build(sparsification, 2);
-            assert_eq!(serial.num_subsets(), parallel.num_subsets());
-            for q in serial.subsets() {
-                assert_eq!(
-                    serial.sim(q.id),
-                    parallel.sim(q.id),
-                    "{sparsification:?}: subset {:?}",
-                    q.id
-                );
+            for threads in [2, 8] {
+                let parallel = build(sparsification, threads);
+                assert_eq!(serial.num_subsets(), parallel.num_subsets());
+                for q in serial.subsets() {
+                    assert_eq!(
+                        serial.sim(q.id),
+                        parallel.sim(q.id),
+                        "{sparsification:?} at {threads} threads: subset {:?}",
+                        q.id
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn failing_stores_report_the_lowest_subset_at_every_thread_count() {
+        // Subsets of mixed sizes, so largest-first claims them out of index
+        // order; two of them fail.
+        let subsets: Vec<Subset> = (0..40u32)
+            .map(|i| {
+                let n = 1 + (i as usize * 7) % 23;
+                Subset {
+                    id: SubsetId(i),
+                    label: format!("q{i}").into(),
+                    weight: 1.0,
+                    members: (0..n as u32).map(PhotoId).collect(),
+                    relevance: vec![1.0 / n as f64; n].into(),
+                }
+            })
+            .collect();
+        let failing = [SubsetId(5), SubsetId(36)];
+        let largest = subsets.iter().map(|q| q.members.len()).max();
+        assert_eq!(
+            Some(subsets[36].members.len()),
+            largest,
+            "36 is claimed first"
+        );
+        assert!(subsets[5].members.len() < subsets[36].members.len());
+        let store = |q: &Subset| {
+            if failing.contains(&q.id) {
+                Err(par_core::ModelError::InvalidSimilarity {
+                    subset: q.id,
+                    value: -1.0,
+                })
+            } else {
+                SparseSim::from_pairs(q.id, q.members.len(), []).map(ContextSim::Sparse)
+            }
+        };
+        for threads in [1, 2, 8] {
+            let previous = par_exec::Parallelism::with_threads(threads).install_global();
+            let built = build_stores(&subsets, store);
+            previous.install_global();
+            assert_eq!(
+                built.map(|sims| sims.len()),
+                Err(par_core::ModelError::InvalidSimilarity {
+                    subset: SubsetId(5),
+                    value: -1.0
+                }),
+                "{threads} threads"
+            );
+        }
+        // Without failures every store lands at its own subset index.
+        let built = build_stores(&subsets[..10], |q| {
+            SparseSim::from_pairs(q.id, q.members.len(), []).map(ContextSim::Sparse)
+        })
+        .unwrap();
+        for (i, sim) in built.iter().enumerate() {
+            assert_eq!(sim.len(), subsets[i].members.len(), "subset {i}");
         }
     }
 

@@ -19,8 +19,8 @@ pub struct PhocusConfig {
     /// Compute the Theorem 4.8 certificate when sparsifying (adds one
     /// Algorithm 1 run on the τ-coverage view, from `S₀`).
     pub certify_sparsification: bool,
-    /// Worker threads for the parallel kernels (gain batches, SimHash
-    /// signing, sparsification, exact scoring). Installed as the
+    /// Worker threads for the parallel kernels (the representation's
+    /// per-context stores, gain batches, exact scoring). Installed as the
     /// process-wide default for the duration of each run; the selection and
     /// scores are identical at every thread count.
     pub parallelism: Parallelism,

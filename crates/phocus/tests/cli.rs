@@ -911,6 +911,34 @@ fn tau_outside_zero_one_is_a_usage_error() {
 }
 
 #[test]
+fn plan_target_outside_zero_one_is_a_usage_error_before_the_dataset_loads() {
+    // The dataset file does not exist: the target is refused first.
+    for target in ["1.5", "0", "-0.2", "nan", "inf"] {
+        let out = phocus(&[
+            "plan",
+            "--dataset",
+            "file:/nonexistent/phocus-plan.universe",
+            "--target",
+            target,
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--target {target} is a usage error"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--target"), "names the flag: {stderr}");
+        assert!(out.stdout.is_empty());
+    }
+    let out = phocus(&["plan", "--dataset", "tiny", "--target", "1"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn tau_at_either_end_of_zero_one_still_solves() {
     for tau in ["0", "1"] {
         let out = phocus(&[
